@@ -144,10 +144,10 @@ def build_basis(dim: int) -> HermitianBasis:
 def joint_basis(basis_s: HermitianBasis, basis_r: HermitianBasis) -> JointBasis:
     """Tensor table F_{mu nu} = F_mu (x) F_nu from two single-system families."""
     n, m = basis_s.dim, basis_r.dim
-    table = np.empty((n**2, m**2, n * m, n * m), dtype=complex)
-    for mu in range(n**2):
-        for nu in range(m**2):
-            table[mu, nu] = np.kron(basis_s.elements[mu], basis_r.elements[nu])
+    # (f * g)[mu, nu, i, r, j, s] = F_mu[i, j] G_nu[r, s], the entries of kron
+    f = basis_s.elements[:, None, :, None, :, None]
+    g = basis_r.elements[None, :, None, :, None, :]
+    table = (f * g).reshape(n**2, m**2, n * m, n * m)
     return JointBasis(basis_s=basis_s, basis_r=basis_r, elements=table)
 
 

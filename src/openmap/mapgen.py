@@ -1,17 +1,17 @@
 """Subsystem maps generated by a joint unitary.
 
-Two affine families act on the N-dimensional system after the joint system
-evolves by a unitary U. The fixed-mean-value map holds a chosen set of
-joint mean values <F_{mu nu}> (nu >= 1) fixed:
+Both affine families are one assignment map (Jordan, Shaji and Sudarshan,
+PRA 70, 052110, 2004): the system state Q is assigned a joint state, the
+joint system evolves by the unitary U, and the partner is traced out,
 
-    Q -> Tr_R[U (Q (x) 1/M) U^dag]
-         + (1/(N M)) sum <F_{mu nu}> Tr_R[U F_{mu nu} U^dag] * Tr[Q].
+    Q -> Tr_R[U (Q (x) sigma_R + X Tr[Q]) U^dag],
+    X = (1/(N M)) sum_{mu nu} c_{mu nu} F_{mu nu}.
 
+The fixed-mean-value map holds a chosen set of joint mean values
+<F_{mu nu}> (nu >= 1) fixed: sigma_R = 1/M and c_{mu nu} = <F_{mu nu}>.
 The fixed-correlation map holds the partner state and the correlations
-Gamma_{mu nu} = <F_{mu nu}> - <F_{mu 0}><F_{0 nu}> fixed:
-
-    Q -> Tr_R[U (Q (x) rho_R) U^dag]
-         + (1/(N M)) sum Gamma_{mu nu} Tr_R[U F_{mu nu} U^dag] * Tr[Q].
+Gamma_{mu nu} = <F_{mu nu}> - <F_{mu 0}><F_{0 nu}> fixed: sigma_R = rho_R
+and c_{mu nu} = Gamma_{mu nu} for mu, nu >= 1.
 
 Both offsets are traceless and both homogeneous parts are trace-preserving,
 so each family maps unit-trace matrices to unit-trace matrices.
@@ -37,7 +37,7 @@ from .superop import (
     AffineMap,
     SuperOperator,
     TransferMatrix,
-    from_action,
+    check_unitary,
     is_hermiticity_preserving,
     transfer_matrix,
     vec,
@@ -49,7 +49,6 @@ __all__ = [
     "ParameterReport",
     "PARAMETER_TOL",
     "canonical_joint_basis",
-    "conjugated_reduced_basis",
     "fixed_mean_value_map",
     "fixed_correlation_map",
     "unitalize",
@@ -129,88 +128,68 @@ def canonical_joint_basis(dims: tuple[int, int]) -> JointBasis:
     return joint_basis(build_basis(dims[0]), build_basis(dims[1]))
 
 
-def conjugated_reduced_basis(u: np.ndarray, basis: JointBasis) -> np.ndarray:
-    """Table Tr_R[U F_{mu nu} U^dag], shape (N^2, M^2, N, N).
+def _assignment_map(
+    u: np.ndarray,
+    sigma_r: np.ndarray,
+    coeffs: np.ndarray,
+    dims: tuple[int, int],
+    basis: JointBasis | None,
+    kind: str,
+) -> AffineMap:
+    """Q -> Tr_R[U (Q (x) sigma_R + X Tr[Q]) U^dag], X = sum coeffs F_{mu nu} / (N M).
 
-    Precompute this once when building several maps from the same unitary.
+    coeffs is (N^2, M^2); only the single-system families are used.
     """
-    n, m = basis.dims
-    d = n * m
-    if u.shape != (d, d):
-        raise ValueError(f"unitary shape {u.shape} does not match joint dimension {d}")
-    conjugated = np.matmul(np.matmul(u, basis.flat_elements), u.conj().T)
-    traced = np.einsum("aimjm->aij", conjugated.reshape(-1, n, m, n, m))
-    return traced.reshape(n**2, m**2, n, n)
-
-
-def _check_unitary(u: np.ndarray, d: int) -> None:
-    if u.shape != (d, d):
-        raise ValueError(f"unitary shape {u.shape} does not match joint dimension {d}")
-    if np.abs(u.conj().T @ u - np.eye(d)).max() > 1e-10:
-        raise ValueError("input matrix is not unitary")
+    n, m = dims
+    check_unitary(u, n * m)
+    if basis is None:
+        basis_s, basis_r = build_basis(n), build_basis(m)
+    else:
+        basis_s, basis_r = basis.basis_s, basis.basis_r
+    # rep[i + N k, j + N l] = sum_{r s t} U[i r, j s] sigma[s, t] conj(U[k r, l t])
+    u_sigma = (u.reshape(n * m * n, m) @ sigma_r).reshape(n, m, n, m)
+    left = u_sigma.transpose(0, 2, 1, 3).reshape(n * n, m * m)
+    right = u.conj().reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
+    rep = (left @ right.T).reshape(n, n, n, n).transpose(0, 2, 1, 3)
+    homogeneous = SuperOperator(dim=n, rep=rep.reshape(n * n, n * n, order="F"))
+    # X[(j s), (l t)] = sum_mu F_mu[j, l] (sum_nu coeffs[mu, nu] G_nu[s, t])
+    partner = coeffs @ basis_r.elements.reshape(m * m, m * m)
+    x = basis_s.elements.reshape(n * n, n * n).T @ partner
+    x = x.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m) / (n * m)
+    offset = partial_trace_r(u @ x @ u.conj().T, dims)
+    return AffineMap(homogeneous=homogeneous, offset=offset, kind=kind)
 
 
 def fixed_mean_value_map(
     u: np.ndarray,
     params: FixedMeanParameters,
     basis: JointBasis | None = None,
-    reduced: np.ndarray | None = None,
 ) -> AffineMap:
     """Affine map with the partner thrown in maximally mixed.
 
     The homogeneous part Q -> Tr_R[U (Q (x) 1/M) U^dag] is unital and
     trace-preserving; the offset is the traceless sum over the fixed mean
-    values. `reduced` may carry a precomputed conjugated_reduced_basis
-    table.
+    values.
     """
     n, m = params.dims
-    _check_unitary(u, n * m)
-    if basis is None:
-        basis = canonical_joint_basis(params.dims)
-    eye_r = np.eye(m, dtype=complex) / m
-    dims = params.dims
-    homogeneous = from_action(
-        n, lambda q: partial_trace_r(u @ np.kron(q, eye_r) @ u.conj().T, dims)
-    )
-    offset = np.zeros((n, n), dtype=complex)
+    coeffs = np.zeros((n * n, m * m))
     for (mu, nu), value in params.fixed_means.items():
-        if reduced is not None:
-            term = reduced[mu, nu]
-        else:
-            f = basis.elements[mu, nu]
-            term = partial_trace_r(u @ f @ u.conj().T, dims)
-        offset += value * term
-    offset /= n * m
-    return AffineMap(homogeneous=homogeneous, offset=offset, kind="fixed-mean-value")
+        coeffs[mu, nu] = value
+    return _assignment_map(u, np.eye(m) / m, coeffs, params.dims, basis, "fixed-mean-value")
 
 
 def fixed_correlation_map(
     u: np.ndarray,
     params: FixedCorrelationParameters,
     basis: JointBasis | None = None,
-    reduced: np.ndarray | None = None,
 ) -> AffineMap:
     """Affine map with the partner thrown in at rho_R and correlations fixed."""
     n, m = params.dims
-    _check_unitary(u, n * m)
-    if basis is None:
-        basis = canonical_joint_basis(params.dims)
-    rho_r = params.rho_r.matrix
-    dims = params.dims
-    homogeneous = from_action(
-        n, lambda q: partial_trace_r(u @ np.kron(q, rho_r) @ u.conj().T, dims)
+    coeffs = np.zeros((n * n, m * m))
+    coeffs[1:, 1:] = params.gamma.gamma
+    return _assignment_map(
+        u, params.rho_r.matrix, coeffs, params.dims, basis, "fixed-correlation"
     )
-    offset = np.zeros((n, n), dtype=complex)
-    gamma = params.gamma.gamma
-    for mu, nu in zip(*np.nonzero(gamma)):
-        if reduced is not None:
-            term = reduced[mu + 1, nu + 1]
-        else:
-            f = basis.elements[mu + 1, nu + 1]
-            term = partial_trace_r(u @ f @ u.conj().T, dims)
-        offset += gamma[mu, nu] * term
-    offset /= n * m
-    return AffineMap(homogeneous=homogeneous, offset=offset, kind="fixed-correlation")
 
 
 def unitalize(s: SuperOperator) -> SuperOperator:

@@ -194,6 +194,34 @@ def test_build_rejects_non_unitary(tmp_path, capsys):
     assert "not unitary" in err
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_build_rejects_non_finite_unitary(tmp_path, capsys, bad):
+    m = np.eye(4, dtype=complex)
+    m[0, 0] = bad
+    u = _write_matrix(tmp_path / "u.json", m)
+    p = _write_params(tmp_path / "p.json", (2, 2), {})
+    out_file = tmp_path / "map.json"
+    rc, out, err = _run(
+        capsys,
+        ["build", "--kind", "fixed-mean", "--unitary", u, "--params", p, "--out", str(out_file)],
+    )
+    assert rc == 2
+    assert "finite" in err
+    assert out == ""
+    assert not out_file.exists()
+
+
+def test_analyze_rejects_non_finite_map(tmp_path, capsys):
+    doc = affine_map_to_json(_l_map(np.pi / 3))
+    doc["offset"]["rows"][0][0][0] = float("inf")
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps(doc))
+    rc, out, err = _run(capsys, ["analyze", str(f)])
+    assert rc == 2
+    assert "finite" in err
+    assert out == ""
+
+
 def test_malformed_json_exits_2_without_output(tmp_path, capsys):
     u = _write_matrix(tmp_path / "u.json", np.eye(4))
     bad = tmp_path / "p.json"

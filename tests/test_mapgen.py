@@ -12,7 +12,6 @@ from openmap import (
     apply,
     build_basis,
     canonical_joint_basis,
-    conjugated_reduced_basis,
     detect_parameters,
     fixed_correlation_map,
     fixed_mean_value_map,
@@ -27,6 +26,7 @@ from openmap import (
     two_qubit_unitary,
     unitalize,
 )
+from openmap.mapgen import _assignment_map
 from conftest import (
     random_corr_params,
     random_density,
@@ -291,6 +291,14 @@ def test_unitalize_state_preparation_map():
         assert np.max(np.abs(e(q) - want)) < 1e-12
 
 
+def _one_hot_offset(u, jb, mu, nu):
+    # the kernel's offset for a one-hot table is Tr_R[U F_{mu nu} U^dag] / (N M)
+    n, m = jb.dims
+    coeffs = np.zeros((n * n, m * m))
+    coeffs[mu, nu] = 1.0
+    return _assignment_map(u, np.eye(m) / m, coeffs, jb.dims, jb, "plain").offset
+
+
 def test_reduced_basis_images_match_transfer_rows():
     # Tr_R[U F_{mu nu} U^dag] = M * sum_alpha t[(alpha 0), (mu nu)] F_alpha
     rng = np.random.default_rng(163)
@@ -299,23 +307,27 @@ def test_reduced_basis_images_match_transfer_rows():
         jb = canonical_joint_basis(dims)
         bs = build_basis(n)
         u = random_unitary(rng, n * m)
-        reduced = conjugated_reduced_basis(u, jb)
         tm = transfer_matrix(u, jb)
         for mu in range(n * n):
             for nu in range(m * m):
                 col = tm.t[:, jb.flat_index(mu, nu)].reshape(n * n, m * m)[:, 0]
                 want = m * np.einsum("a,aij->ij", col, bs.elements)
-                assert np.max(np.abs(reduced[mu, nu] - want)) < 1e-12
+                got = n * m * _one_hot_offset(u, jb, mu, nu)
+                assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_precomputed_reduced_table_matches():
+def test_single_conjugation_offset_matches_per_mean_sum():
+    # one conjugation of X equals the sum of the per-mean reduced images
     rng = np.random.default_rng(167)
     u = random_unitary(rng, 4)
     jb = canonical_joint_basis((2, 2))
-    reduced = conjugated_reduced_basis(u, jb)
     params = FixedMeanParameters((2, 2), {(1, 3): 0.3, (0, 2): -0.4})
     a = fixed_mean_value_map(u, params, basis=jb)
-    b = fixed_mean_value_map(u, params, basis=jb, reduced=reduced)
+    want = sum(
+        value * _one_hot_offset(u, jb, mu, nu) for (mu, nu), value in params.fixed_means.items()
+    )
+    assert np.max(np.abs(a.offset - want)) < 1e-15
+    b = fixed_mean_value_map(u, params)
     assert np.max(np.abs(a.offset - b.offset)) < 1e-15
 
 
@@ -337,3 +349,14 @@ def test_parameter_validation():
 def test_map_rejects_non_unitary():
     with pytest.raises(ValueError):
         fixed_mean_value_map(np.eye(4) * 1.01, FixedMeanParameters((2, 2), {}))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_maps_reject_non_finite_unitary(bad):
+    u = np.eye(4, dtype=complex)
+    u[3, 0] = bad
+    corr = FixedCorrelationParameters((2, 2), DensityMatrix(2, np.eye(2) / 2), np.zeros((3, 3)))
+    with pytest.raises(ValueError, match="not unitary"):
+        fixed_mean_value_map(u, FixedMeanParameters((2, 2), {(1, 3): 0.2}))
+    with pytest.raises(ValueError, match="not unitary"):
+        fixed_correlation_map(u, corr)

@@ -207,6 +207,14 @@ def test_transfer_rejects_non_unitary():
         transfer_matrix(np.eye(4) * 1.001, jb)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_transfer_rejects_non_finite_unitary(bad):
+    u = np.eye(4, dtype=complex)
+    u[1, 2] = bad
+    with pytest.raises(ValueError, match="not unitary"):
+        transfer_matrix(u, _jb(2, 2))
+
+
 def test_transfer_propagates_means():
     # t applied to the flattened mean table gives the means of U Pi Udag
     rng = np.random.default_rng(51)
