@@ -10,6 +10,7 @@ variable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -85,6 +86,25 @@ def matrix_to_json(matrix) -> dict:
     return {"rows": [[[float(z.real), float(z.imag)] for z in row] for row in m]}
 
 
+def _finite_float(x) -> float | None:
+    """x as a float if it is a finite JSON number, else None.
+
+    JSON true/false decode to bool, a subclass of int, and are not numbers
+    here; integers too large for a float are not finite.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return None
+    try:
+        x = float(x)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "rows" not in obj:
         raise CliInputError("matrix JSON must be an object with a 'rows' field")
@@ -104,8 +124,8 @@ def matrix_from_json(obj) -> np.ndarray:
         for entry in row:
             if not (isinstance(entry, list) and len(entry) == 2):
                 raise CliInputError("matrix entries must be [re, im] pairs")
-            re, im = entry
-            if not all(isinstance(x, (int, float)) and math.isfinite(x) for x in (re, im)):
+            re, im = _finite_float(entry[0]), _finite_float(entry[1])
+            if re is None or im is None:
                 raise CliInputError("matrix entries must be [re, im] pairs of finite numbers")
             line.append(complex(re, im))
         out.append(line)
@@ -131,7 +151,7 @@ def affine_map_from_json(obj) -> AffineMap:
         if key not in obj:
             raise CliInputError(f"map JSON is missing the {key!r} field")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise CliInputError(f"map dim must be a positive integer, got {dim!r}")
     rep = matrix_from_json(obj["homogeneous"])
     offset = matrix_from_json(obj["offset"])
@@ -160,11 +180,12 @@ def _triples(obj, what: str) -> list[tuple[int, int, float]]:
         if not (isinstance(item, list) and len(item) == 3):
             raise CliInputError(f"{what} entries must be [mu, nu, value] triples")
         mu, nu, value = item
-        if not (isinstance(mu, int) and isinstance(nu, int)):
+        if not (_is_int(mu) and _is_int(nu)):
             raise CliInputError(f"{what} indices must be integers")
-        if not isinstance(value, (int, float)):
-            raise CliInputError(f"{what} values must be numbers")
-        out.append((mu, nu, float(value)))
+        number = _finite_float(value)
+        if number is None:
+            raise CliInputError(f"{what} values must be finite numbers, got {value!r}")
+        out.append((mu, nu, number))
     return out
 
 
@@ -173,7 +194,7 @@ def _dims_from_json(obj) -> tuple[int, int]:
     if not (
         isinstance(dims, list)
         and len(dims) == 2
-        and all(isinstance(d, int) and d >= 1 for d in dims)
+        and all(_is_int(d) and d >= 1 for d in dims)
     ):
         raise CliInputError("params 'dims' must be a pair of positive integers")
     return (dims[0], dims[1])
@@ -360,9 +381,12 @@ def cmd_invert(args) -> int:
 
 def _parse_vector(text: str, what: str) -> np.ndarray:
     try:
-        return np.array([float(p) for p in text.split(",")])
+        v = np.array([float(p) for p in text.split(",")])
     except ValueError as exc:
         raise CliInputError(f"{what} must be comma-separated numbers, got {text!r}") from exc
+    if not np.isfinite(v).all():
+        raise CliInputError(f"{what} entries must be finite, got {text!r}")
+    return v
 
 
 def cmd_demo(args) -> int:
@@ -436,6 +460,8 @@ def cmd_demo(args) -> int:
         "corr_kind_count": report.corr_kind_count,
         "mean_only_count": report.mean_only_count,
         "corr_only_count": report.corr_only_count,
+        "mean_undecided_count": report.mean_undecided_count,
+        "corr_undecided_count": report.corr_undecided_count,
         "mean_only_examples": [_float_list(row) for row in report.mean_only_examples()],
     }
     _emit(doc, args.out)
@@ -472,12 +498,16 @@ def cmd_domain(args) -> int:
         "method": result.method,
         "iterations": result.iterations,
         "witness": None if result.witness is None else matrix_to_json(result.witness),
+        "verdict": result.verdict,
+        "certified": result.certificate is not None,
     }
     _emit(doc, args.out)
     return EXIT_OK
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and reused for the process."""
     parser = argparse.ArgumentParser(
         prog="openmap",
         description="Build, analyze, and invert affine subsystem maps from bipartite unitaries.",

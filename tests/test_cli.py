@@ -13,6 +13,7 @@ from openmap import (
     two_qubit_unitary,
 )
 from openmap.cli import (
+    _build_parser,
     affine_map_from_json,
     affine_map_to_json,
     main,
@@ -370,3 +371,140 @@ def test_explicit_tolerance_beats_env(capsys, monkeypatch):
     monkeypatch.setenv("OPENMAP_TOL", "1e-20")
     rc, _, _ = _run(capsys, ["demo", "fixed-mean", "--gamma", "0.9", "--tol", "1e-10"])
     assert rc == 0
+
+
+DOMAIN_KEYS = {"compatible", "min_eigenvalue", "method", "iterations", "witness", "verdict", "certified"}
+
+
+def test_domain_reports_certified_verdict(tmp_path, capsys):
+    p = _write_params(tmp_path / "p.json", (2, 2), {(1, 3): 0.3})
+    argv = ["domain", "--kind", "fixed-mean", "--params", p, "--mean", "1,1,1", "--thorough"]
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    doc = json.loads(out)
+    assert set(doc) == DOMAIN_KEYS
+    assert doc["compatible"] is False and doc["witness"] is None
+    assert doc["verdict"] == "incompatible" and doc["certified"] is True
+    assert doc["method"] == "feasibility-search" and 0 < doc["iterations"] < 500
+
+
+def test_domain_reports_witnessed_verdict(tmp_path, capsys):
+    p = _write_params(tmp_path / "p.json", (2, 2), {(3, 3): 0.9})
+    argv = ["domain", "--kind", "fixed-mean", "--params", p, "--mean", "0,0,0.9", "--thorough"]
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    doc = json.loads(out)
+    assert set(doc) == DOMAIN_KEYS
+    assert doc["compatible"] is True and doc["witness"] is not None
+    assert doc["verdict"] == "compatible" and doc["certified"] is False
+    assert doc["method"] == "feasibility-search"
+
+
+def test_demo_domain_reports_undecided_counts(capsys):
+    argv = ["demo", "domain", "--grid", "4", "--mean-s1x3", "0.1", "--mean-s2x3", "0.1",
+            "--xi3", "0.3", "--corr13", "0.2", "--corr23", "0.2"]
+    rc, out, _ = _run(capsys, argv)
+    assert rc == 0
+    plain = json.loads(out)
+    # without the search, every failed zero completion is undecided
+    assert plain["mean_undecided_count"] == plain["total"] - plain["mean_kind_count"]
+    assert plain["corr_undecided_count"] == plain["total"] - plain["corr_kind_count"]
+    rc, out, _ = _run(capsys, argv + ["--thorough"])
+    assert rc == 0
+    deep = json.loads(out)
+    assert 0 <= deep["mean_undecided_count"] < plain["mean_undecided_count"]
+    assert deep["corr_undecided_count"] == 0
+
+
+def test_repeated_main_calls_match_fresh_parser(tmp_path, capsys):
+    # the parser is built once per process; reusing it must not carry
+    # values from one call into the next
+    p = _write_params(tmp_path / "p.json", (2, 2), {(1, 3): 0.3})
+    calls = [
+        ["demo", "fixed-mean", "--gamma", "0.5", "--mean-s2x3", "0.4"],
+        ["domain", "--kind", "fixed-mean", "--params", p, "--mean", "1,1,1", "--thorough"],
+        ["demo", "bogus"],
+        ["demo", "fixed-mean"],
+        ["domain", "--kind", "fixed-mean", "--params", p, "--mean", "1,1,1"],
+        ["demo", "disconnect", "--bloch", "0,1,0"],
+    ]
+
+    def call(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = ("exit", exc.code)
+        return rc, capsys.readouterr().out
+
+    repeated = [call(argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        _build_parser.cache_clear()
+        fresh.append(call(argv))
+    assert repeated == fresh
+    assert repeated[2][0] == ("exit", 2)
+    assert json.loads(repeated[1][1])["verdict"] == "incompatible"
+    assert json.loads(repeated[4][1])["verdict"] == "undecided"
+
+
+def _build_with_means(tmp_path, capsys, doc):
+    u = _write_matrix(tmp_path / "u.json", np.eye(4))
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(doc))
+    out_file = tmp_path / "map.json"
+    argv = ["build", "--kind", "fixed-mean", "--unitary", u, "--params", str(p), "--out", str(out_file)]
+    rc, out, err = _run(capsys, argv)
+    return rc, out, err, out_file
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dims": [2, 2], "means": [[1, 1, float("nan")]]},
+        {"dims": [2, 2], "means": [[1, 1, float("inf")]]},
+        {"dims": [2, 2], "means": [[1, 2, True]]},
+        {"dims": [2, 2], "means": [[True, 2, 0.5]]},
+        {"dims": [True, 4], "means": []},
+    ],
+    ids=["nan-value", "inf-value", "bool-value", "bool-index", "bool-dim"],
+)
+def test_build_rejects_non_finite_and_bool_params(tmp_path, capsys, doc):
+    rc, out, err, out_file = _build_with_means(tmp_path, capsys, doc)
+    assert rc == 2
+    assert "input error" in err
+    assert out == ""
+    assert not out_file.exists()
+
+
+def test_analyze_rejects_bool_map_dim(tmp_path, capsys):
+    # a 1x1 map whose dim is written as true rather than 1
+    doc = {"kind": "plain", "dim": True, "homogeneous": {"rows": [[[1, 0]]]}, "offset": {"rows": [[[0, 0]]]}}
+    f = tmp_path / "m.json"
+    f.write_text(json.dumps(doc))
+    out_file = tmp_path / "a.json"
+    rc, out, err = _run(capsys, ["analyze", str(f), "--out", str(out_file)])
+    assert rc == 2
+    assert "input error" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["domain", "--kind", "fixed-mean", "--mean", "nan,0,0"],
+        ["domain", "--kind", "fixed-mean", "--mean", "0,inf,0", "--thorough"],
+        ["demo", "disconnect", "--bloch", "inf,0,0"],
+        ["demo", "disconnect", "--contrast", "0,nan,0"],
+    ],
+    ids=["domain-mean-nan", "domain-mean-inf", "bloch-inf", "contrast-nan"],
+)
+def test_non_finite_vector_options_exit_2(tmp_path, capsys, argv):
+    p = _write_params(tmp_path / "p.json", (2, 2), {(1, 3): 0.3})
+    out_file = tmp_path / "out.json"
+    if argv[0] == "domain":
+        argv = argv + ["--params", p]
+    rc, out, err = _run(capsys, argv + ["--out", str(out_file)])
+    assert rc == 2
+    assert "finite" in err
+    assert out == ""
+    assert not out_file.exists()
