@@ -2,12 +2,14 @@
 
 Three invertibility criteria are computed independently and must agree:
 the kernel of the homogeneous rep (SVD), the rank of the basis-element
-images, and the kernel of the induced mean-value map. Singular values
-below 1e-10 times the largest count as zero. For the trace-preserving maps
-this package builds, agreement is a theorem (in basis coordinates the rep
-is block triangular over the mean-value block); disagreement therefore
-means a corrupted input and raises InconsistentCriteriaError rather than
-returning a guess.
+images, and the kernel of the induced mean-value map. Both the images
+and the mean-value map come from one product of the rep with the
+column-stacked basis table (column a is vec(F_a)), not from N^2 separate
+applications of the map. Singular values below 1e-10 times the largest
+count as zero. For the trace-preserving maps this package builds,
+agreement is a theorem (in basis coordinates the rep is block triangular
+over the mean-value block); disagreement therefore means a corrupted
+input and raises InconsistentCriteriaError rather than returning a guess.
 
 Complete positivity is read off the Choi matrix, assembled with the
 convention C[(i, k), (j, l)] = h(|i><j|)[k, l]: the map is completely
@@ -31,11 +33,11 @@ from .basis import HermitianBasis, build_basis
 from .superop import (
     AffineMap,
     SuperOperator,
+    basis_columns,
     is_hermiticity_preserving,
     is_trace_preserving,
     is_unital,
     mean_affine,
-    unvec,
     vec,
 )
 
@@ -81,6 +83,7 @@ class InvertibilityReport:
     smallest_singular_value: float
     basis_image_rank: int
     mean_map_kernel_dimension: int
+    condition_number: float  # largest / smallest singular value; inf when the smallest is 0
 
 
 @dataclass(frozen=True)
@@ -142,15 +145,17 @@ def invertibility(m: AffineMap, basis: HermitianBasis | None = None) -> Invertib
     n = m.dim
     if basis is None:
         basis = build_basis(n)
-    sv = np.linalg.svd(m.homogeneous.rep, compute_uv=False)
+    rep = m.homogeneous.rep
+    sv = np.linalg.svd(rep, compute_uv=False)
     kernel_dim = n**2 - _rank_from_singular_values(sv)
 
-    images = np.stack([vec(m.homogeneous(f)) for f in basis.elements])
-    image_sv = np.linalg.svd(images, compute_uv=False)
-    image_rank = _rank_from_singular_values(image_sv)
-
+    # mean_affine runs first: it rejects a basis of the wrong dimension
     mean_sv = np.linalg.svd(mean_affine(m, basis).matrix, compute_uv=False)
     mean_kernel = (n**2 - 1) - _rank_from_singular_values(mean_sv)
+
+    images = (rep @ basis_columns(basis)).T  # row a is vec(h(F_a))
+    image_sv = np.linalg.svd(images, compute_uv=False)
+    image_rank = _rank_from_singular_values(image_sv)
 
     verdicts = (kernel_dim == 0, image_rank == n**2, mean_kernel == 0)
     if len(set(verdicts)) != 1:
@@ -165,6 +170,7 @@ def invertibility(m: AffineMap, basis: HermitianBasis | None = None) -> Invertib
         smallest_singular_value=float(sv.min()),
         basis_image_rank=image_rank,
         mean_map_kernel_dimension=mean_kernel,
+        condition_number=float(sv.max() / sv.min()) if sv.min() > 0 else np.inf,
     )
 
 

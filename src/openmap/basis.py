@@ -112,32 +112,31 @@ def build_basis(dim: int) -> HermitianBasis:
     Order after the identity: symmetric pair elements (j < k,
     lexicographic), antisymmetric pair elements (same order), then the
     diagonal ladder. Each element is rescaled so Tr[F_a^2] = dim.
+
+    The table is filled by index arithmetic: the pairs j < k, in the order
+    np.triu_indices(dim, 1) gives them, place sqrt(dim/2) in the real part
+    of both symmetric entries and -/+ sqrt(dim/2) in the imaginary part of
+    the (j, k)/(k, j) antisymmetric entries; rung l of the ladder,
+    diag(1, ..., 1, -l, 0, ...), is scaled by sqrt(dim / (l (l + 1))) and
+    all rungs are scattered onto the diagonals at once.
     """
     if dim < 1:
         raise ValueError(f"dimension must be positive, got {dim}")
-    mats: list[np.ndarray] = [np.eye(dim, dtype=complex)]
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            g = np.zeros((dim, dim), dtype=complex)
-            g[j, k] = 1.0
-            g[k, j] = 1.0
-            mats.append(g)
-    for j in range(dim):
-        for k in range(j + 1, dim):
-            g = np.zeros((dim, dim), dtype=complex)
-            g[j, k] = -1.0j
-            g[k, j] = 1.0j
-            mats.append(g)
-    for l in range(1, dim):
-        g = np.zeros((dim, dim), dtype=complex)
-        for j in range(l):
-            g[j, j] = 1.0
-        g[l, l] = -float(l)
-        mats.append(g)
-    table = np.empty((dim**2, dim, dim), dtype=complex)
-    for a, g in enumerate(mats):
-        norm2 = np.trace(g @ g).real
-        table[a] = g * np.sqrt(dim / norm2)
+    i = np.arange(dim)
+    j, k = np.nonzero(i[:, None] < i)  # np.triu_indices(dim, 1), without its overhead
+    pairs = np.arange(1, len(j) + 1)
+    anti = pairs + len(j)
+    table = np.zeros((dim**2, dim, dim), dtype=complex)
+    table.real[0, i, i] = 1.0
+    s = np.sqrt(dim / 2)
+    table.real[pairs, j, k] = table.real[pairs, k, j] = s
+    table.imag[anti, j, k] = -s
+    table.imag[anti, k, j] = s
+    rung = i[1:]
+    scale = np.sqrt(dim / (rung * (rung + 1)))
+    ladder = (i < rung[:, None]) * scale[:, None]  # row l - 1 holds scale_l at i < l
+    ladder[rung - 1, rung] = -rung * scale
+    table.real[1 + 2 * len(j) :, i, i] = ladder
     return HermitianBasis(dim=dim, elements=table)
 
 

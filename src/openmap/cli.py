@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import (
-    SingularMapError,
+    InconsistentCriteriaError,
     choi_analysis,
     dynamics_realizability,
     invert,
@@ -337,7 +337,7 @@ def cmd_analyze(args) -> int:
     m = affine_map_from_json(_load_json(args.map))
     try:
         inv_report = invertibility(m)
-    except ValueError as exc:
+    except (ValueError, InconsistentCriteriaError) as exc:
         raise CliPreconditionError(str(exc)) from exc
     cp_report = choi_analysis(m.homogeneous)
     realizability = dynamics_realizability(m)
@@ -347,6 +347,7 @@ def cmd_analyze(args) -> int:
         "smallest_singular_value": inv_report.smallest_singular_value,
         "basis_image_rank": inv_report.basis_image_rank,
         "mean_map_kernel_dimension": inv_report.mean_map_kernel_dimension,
+        "condition_number": _finite_float(inv_report.condition_number),  # inf -> null
         "choi_eigenvalues": _float_list(cp_report.choi_eigenvalues),
         "is_cp": cp_report.is_cp,
         "is_tp": cp_report.is_tp,
@@ -371,9 +372,7 @@ def cmd_invert(args) -> int:
     m = affine_map_from_json(_load_json(args.map))
     try:
         inverse = invert(m)
-    except SingularMapError as exc:
-        raise CliPreconditionError(str(exc)) from exc
-    except ValueError as exc:
+    except (ValueError, InconsistentCriteriaError) as exc:  # SingularMapError is a ValueError
         raise CliPreconditionError(str(exc)) from exc
     _emit(affine_map_to_json(inverse), args.out)
     return EXIT_OK

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import HermitianBasis, JointBasis
+from .basis import HermitianBasis, JointBasis, _freeze
 
 __all__ = [
     "DensityMatrix",
@@ -37,12 +37,6 @@ __all__ = [
 
 HERMITIAN_TOL = 1e-12
 PSD_TOL = -1e-10
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 def _as_real(values, what: str) -> np.ndarray:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HermitianBasis, JointBasis, build_basis
+from .basis import HermitianBasis, JointBasis, _freeze, build_basis
 
 __all__ = [
     "SuperOperator",
@@ -40,6 +40,7 @@ __all__ = [
     "check_unitary",
     "vec",
     "unvec",
+    "basis_columns",
     "from_action",
     "identity_superoperator",
     "conjugation_superoperator",
@@ -56,12 +57,6 @@ __all__ = [
 MAP_KINDS = ("fixed-mean-value", "fixed-correlation", "plain")
 UNITARY_TOL = 1e-10
 _CHECK_TOL = 1e-10
-
-
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
-    a.flags.writeable = False
-    return a
 
 
 def check_unitary(u: np.ndarray, d: int) -> None:
@@ -85,6 +80,12 @@ def unvec(vector: np.ndarray) -> np.ndarray:
     if n * n != vector.size:
         raise ValueError(f"vector of length {vector.size} is not a stacked square matrix")
     return vector.reshape((n, n), order="F")
+
+
+def basis_columns(basis: HermitianBasis) -> np.ndarray:
+    """(d^2, d^2) view whose column a is vec(F_a), so rep @ it stacks vec(h(F_a))."""
+    d2 = len(basis)
+    return basis.elements.transpose(0, 2, 1).reshape(d2, d2).T
 
 
 @dataclass(frozen=True)
@@ -250,8 +251,8 @@ def transfer_matrix(u: np.ndarray, basis: JointBasis) -> TransferMatrix:
     c = conjugated.reshape(k, n, m, n, m).transpose(0, 1, 3, 2, 4).reshape(k, n * n, m * m)
     # g[(s t), nu] = G_nu[t, s] and f[mu, (j l)] = F_mu[l, j]; one small
     # product per row keeps every BLAS call below its threading threshold
-    g = basis.basis_r.elements.transpose(0, 2, 1).reshape(m * m, m * m).T
-    f = basis.basis_s.elements.transpose(0, 2, 1).reshape(n * n, n * n)
+    g = basis_columns(basis.basis_r)
+    f = basis_columns(basis.basis_s).T
     t = np.matmul(f, np.matmul(c, g)).reshape(k, k) / d
     if not (np.abs(t.imag).max() <= 1e-12):
         raise ValueError("transfer matrix should be real for a unitary input")
@@ -314,9 +315,8 @@ def mean_affine(m: AffineMap, basis: HermitianBasis | None = None) -> MeanAffine
     if np.abs(m.offset - m.offset.conj().T).max() > _CHECK_TOL:
         raise ValueError("mean-value action requires a Hermitian offset")
     n = m.dim
-    k = n**2 - 1
-    images = np.stack([m.homogeneous(f) for f in basis.elements])
-    matrix = np.einsum("aij,mji->am", basis.elements[1:], images[1:]).real / n
-    shift = np.einsum("aij,ji->a", basis.elements[1:], m.offset).real
-    shift = shift + np.einsum("aij,ji->a", basis.elements[1:], images[0]).real / n
-    return MeanAffineMap(dim=n, matrix=matrix.reshape(k, k), shift=shift)
+    # flat[a] @ vec(X) = Tr[F_a X], so traces[a, b] = Tr[F_a h(F_b)]
+    flat = basis.elements.reshape(n**2, n**2)
+    traces = flat @ (m.homogeneous.rep @ basis_columns(basis))
+    shift = (flat[1:] @ vec(m.offset)).real + traces[1:, 0].real / n
+    return MeanAffineMap(dim=n, matrix=traces[1:, 1:].real / n, shift=shift)

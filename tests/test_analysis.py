@@ -11,6 +11,7 @@ from openmap import (
     InconsistentCriteriaError,
     SingularMapError,
     apply,
+    build_basis,
     choi_analysis,
     choi_matrix,
     compose,
@@ -149,6 +150,34 @@ def test_invert_singular_raises_with_report():
     with pytest.raises(SingularMapError) as err:
         invert(m)
     assert err.value.report.kernel_dimension == 2
+
+
+@pytest.mark.parametrize("dims", [(6, 2), (2, 8)])
+def test_invert_rep_is_exactly_inv(dims):
+    # the round trip sits near an absolute 1e-10 for maps with condition
+    # number ~1e6, so invert must stay np.linalg.inv bit for bit
+    rng = np.random.default_rng(191)
+    u = random_unitary(rng, dims[0] * dims[1])
+    for mp in (
+        fixed_mean_value_map(u, random_mean_params(rng, dims)),
+        fixed_correlation_map(u, random_corr_params(rng, dims)),
+    ):
+        assert np.array_equal(invert(mp).homogeneous.rep, np.linalg.inv(mp.homogeneous.rep))
+
+
+def test_condition_number():
+    m = _two_qubit_l(np.pi / 3, {(1, 3): 0.4})
+    sv = np.linalg.svd(m.homogeneous.rep, compute_uv=False)
+    kappa = invertibility(m).condition_number
+    assert abs(kappa - sv.max() / sv.min()) <= 1e-12 * kappa
+    assert invertibility(identity_map(3)).condition_number == 1.0
+    dephase = AffineMap(from_action(2, lambda q: np.diag(np.diag(q))), np.zeros((2, 2)), "plain")
+    assert invertibility(dephase).condition_number == np.inf
+
+
+def test_invertibility_rejects_basis_of_wrong_dimension():
+    with pytest.raises(ValueError, match="basis dim"):
+        invertibility(identity_map(2), build_basis(3))
 
 
 def test_inconsistent_criteria_raises():

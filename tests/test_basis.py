@@ -127,3 +127,38 @@ def test_joint_basis_validation():
     bs = build_basis(2)
     with pytest.raises(ValueError):
         JointBasis(bs, bs, np.zeros((4, 4, 2, 2), dtype=complex))
+
+
+def _loop_basis(dim):
+    """The per-element construction build_basis replaced, kept as its reference."""
+    mats = [np.eye(dim, dtype=complex)]
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            g = np.zeros((dim, dim), dtype=complex)
+            g[j, k] = 1.0
+            g[k, j] = 1.0
+            mats.append(g)
+    for j in range(dim):
+        for k in range(j + 1, dim):
+            g = np.zeros((dim, dim), dtype=complex)
+            g[j, k] = -1.0j
+            g[k, j] = 1.0j
+            mats.append(g)
+    for l in range(1, dim):
+        g = np.zeros((dim, dim), dtype=complex)
+        for j in range(l):
+            g[j, j] = 1.0
+        g[l, l] = -float(l)
+        mats.append(g)
+    table = np.empty((dim**2, dim, dim), dtype=complex)
+    for a, g in enumerate(mats):
+        table[a] = g * np.sqrt(dim / np.trace(g @ g).real)
+    return table
+
+
+@pytest.mark.parametrize("dim", range(1, 13))
+def test_build_basis_bit_identical_to_loop_construction(dim):
+    got, want = build_basis(dim).elements, _loop_basis(dim)
+    assert np.array_equal(got, want)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))

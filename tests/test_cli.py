@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from openmap import (
+    AffineMap,
     FixedMeanParameters,
+    SuperOperator,
     apply,
     compose,
     fixed_mean_value_map,
     two_qubit_unitary,
+    vec,
 )
 from openmap.cli import (
     _build_parser,
@@ -144,6 +147,8 @@ def test_analyze_regular_map(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["invertible"] is True
     assert abs(doc["smallest_singular_value"] - 0.5) < 1e-12
+    sv = np.linalg.svd(_l_map(np.pi / 3).homogeneous.rep, compute_uv=False)
+    assert abs(doc["condition_number"] - sv.max() / sv.min()) <= 1e-12 * doc["condition_number"]
     assert doc["is_cp"] is True and doc["is_tp"] is True and doc["is_unital"] is True
     assert doc["realizability"] == "inverse-not-realizable"
     assert doc["choi_rank"] == 2
@@ -185,6 +190,27 @@ def test_invert_singular_exits_3(tmp_path, capsys):
     rc, _, err = _run(capsys, ["invert", f])
     assert rc == 3
     assert "precondition" in err
+
+
+def test_analyze_exactly_singular_map_writes_null_condition_number(tmp_path, capsys):
+    dephase = AffineMap(SuperOperator(2, np.diag([1.0, 0.0, 0.0, 1.0])), np.zeros((2, 2)), "plain")
+    rc, out, _ = _run(capsys, ["analyze", _write_map(tmp_path / "m.json", dephase)])
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["invertible"] is False
+    assert doc["condition_number"] is None
+
+
+@pytest.mark.parametrize("command", ["analyze", "invert"])
+def test_inconsistent_criteria_exits_3_without_output(tmp_path, capsys, command):
+    # h(Q) = Q - Tr[Q] 1/2 kills the identity but not the mean values
+    rep = np.eye(4) - np.outer(vec(np.eye(2)), vec(np.eye(2))) / 2
+    f = _write_map(tmp_path / "m.json", AffineMap(SuperOperator(2, rep), np.zeros((2, 2)), "plain"))
+    out = tmp_path / "out.json"
+    rc, _, err = _run(capsys, [command, f, "--out", str(out)])
+    assert rc == 3
+    assert "precondition failure" in err and "criteria disagree" in err
+    assert not out.exists()
 
 
 def test_build_rejects_non_unitary(tmp_path, capsys):

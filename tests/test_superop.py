@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openmap import (
     AffineMap,
@@ -32,6 +34,7 @@ from openmap import (
     unvec,
     vec,
 )
+from openmap.superop import basis_columns
 from conftest import random_density, random_hermitian, random_unitary
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -314,3 +317,31 @@ def test_mean_affine_map_validation():
         MeanAffineMap(2, np.eye(4), np.zeros(3))
     with pytest.raises(ValueError):
         MeanAffineMap(2, np.eye(3), np.zeros(4))
+
+
+def _hp_map(rng, n):
+    """Q -> sum_k c_k A_k Q A_k^dag + offset Tr Q with real c_k of both signs:
+    Hermiticity-preserving, and in general neither trace-preserving nor unital."""
+    rep = np.zeros((n * n, n * n), dtype=complex)
+    for c in rng.uniform(-1.0, 1.0, size=3):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        rep += c * np.kron(a.conj(), a)
+    return AffineMap(SuperOperator(n, rep), random_hermitian(rng, n), "plain")
+
+
+@settings(max_examples=10, deadline=None)
+@given(dim=st.integers(min_value=1, max_value=6), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_batched_images_and_mean_affine_match_per_element(dim, seed):
+    rng = np.random.default_rng(seed)
+    m = _hp_map(rng, dim)
+    basis = build_basis(dim)
+    images = np.stack([vec(m.homogeneous(f)) for f in basis.elements])
+    assert np.max(np.abs((m.homogeneous.rep @ basis_columns(basis)).T - images)) < 1e-13
+    f = basis.elements[1:]
+    h_images = images.reshape(-1, dim, dim).transpose(0, 2, 1)  # h(F_m) from vec(h(F_m))
+    matrix = np.einsum("aij,mji->am", f, h_images[1:]).real / dim
+    shift = np.einsum("aij,ji->a", f, m.offset).real
+    shift = shift + np.einsum("aij,ji->a", f, h_images[0]).real / dim
+    ma = mean_affine(m, basis)
+    assert np.max(np.abs(ma.matrix - matrix), initial=0.0) < 1e-13
+    assert np.max(np.abs(ma.shift - shift), initial=0.0) < 1e-13
