@@ -6,8 +6,11 @@ remaining elements traceless. The normalization Tr[F_a F_b] = d * delta_ab
 makes mean values and expansion coefficients proportional: any matrix Q
 decomposes as Q = sum_a c_a F_a with c_a = Tr[F_a Q] / d.
 
-For a bipartite system the joint family is the tensor table
-F_{mu nu} = F_{mu 0} (x) F_{0 nu}, flattened as (mu, nu) -> mu * M^2 + nu.
+For a bipartite system the joint family is F_{mu nu} = F_mu (x) G_nu,
+flattened as (mu, nu) -> mu * M^2 + nu. `JointBasis` owns this layout and
+contracts with the two single-system families instead of storing the
+products (reshuffle identities: Wood, Biamonte and Cory, "Tensor networks
+and graphical calculus for open quantum systems", 2015).
 
 The single-system family is the generalized Gell-Mann construction:
 identity, then the symmetric pairs, the antisymmetric pairs, and the
@@ -68,36 +71,54 @@ class HermitianBasis:
 
 @dataclass(frozen=True)
 class JointBasis:
-    """Tensor-product family for a bipartite system.
+    """Tensor-product family F_{mu nu} = F_mu (x) G_nu of a bipartite system.
 
-    elements[mu, nu] = basis_s.elements[mu] (x) basis_r.elements[nu], with
-    the first tensor factor acting on the N-dimensional system of interest
-    and the second on the M-dimensional partner. The flat view orders pairs
-    as (mu, nu) -> mu * M^2 + nu.
+    F_mu = basis_s.elements[mu] acts on the N-dimensional system of interest,
+    G_nu = basis_r.elements[nu] on the M-dimensional partner. Only these two
+    families are stored; `matrix` and `traces` contract with them, and the
+    table of products is built only when `elements` or `flat_elements` is read.
     """
 
     basis_s: HermitianBasis
     basis_r: HermitianBasis
-    elements: np.ndarray
-
-    def __post_init__(self) -> None:
-        n, m = self.dims
-        expected = (n**2, m**2, n * m, n * m)
-        if self.elements.shape != expected:
-            raise ValueError(
-                f"joint table has shape {self.elements.shape}, expected {expected}"
-            )
-        object.__setattr__(self, "elements", _freeze(self.elements))
 
     @property
     def dims(self) -> tuple[int, int]:
         return (self.basis_s.dim, self.basis_r.dim)
 
     @property
-    def flat_elements(self) -> np.ndarray:
-        """View of shape (N^2 * M^2, N*M, N*M) in flattened pair order."""
+    def elements(self) -> np.ndarray:
+        """The products F_mu (x) G_nu, shape (N^2, M^2, NM, NM), built on each access."""
         n, m = self.dims
-        return self.elements.reshape(n**2 * m**2, n * m, n * m)
+        return self.flat_elements.reshape(n**2, m**2, n * m, n * m)
+
+    @property
+    def flat_elements(self) -> np.ndarray:
+        """The products in flat pair order, shape (N^2 M^2, NM, NM), built on each access."""
+        n, m = self.dims
+        # (f * g)[mu, nu, j, s, l, t] = F_mu[j, l] G_nu[s, t], the entries of kron
+        f = self.basis_s.elements[:, None, :, None, :, None]
+        g = self.basis_r.elements[None, :, None, :, None, :]
+        return (f * g).reshape(n**2 * m**2, n * m, n * m)
+
+    def matrix(self, coeffs: np.ndarray) -> np.ndarray:
+        """sum_{mu nu} c[..., mu, nu] F_mu (x) G_nu for a (..., N^2, M^2) table."""
+        n, m = self.dims
+        f = self.basis_s.elements.reshape(n * n, n * n)
+        g = self.basis_r.elements.reshape(m * m, m * m)
+        # (f.T @ c @ g)[(j l), (s t)] = sum c F_mu[j, l] G_nu[s, t] = kron entry [(j s), (l t)]
+        x = (f.T @ (coeffs @ g)).reshape(*coeffs.shape[:-2], n, n, m, m)
+        return np.einsum("...jlst->...jslt", x).reshape(*coeffs.shape[:-2], n * m, n * m)
+
+    def traces(self, x: np.ndarray) -> np.ndarray:
+        """Tr[(F_mu (x) G_nu) X] for an (..., NM, NM) stack, shape (..., N^2, M^2)."""
+        n, m = self.dims
+        f = self.basis_s.elements.reshape(n * n, n * n)
+        g = self.basis_r.elements.reshape(m * m, m * m)
+        # Tr[(F (x) G) X] = sum F[j, l] G[s, t] X[(l t), (j s)]; a stack runs
+        # one small product per matrix, below BLAS's threading threshold
+        c = np.einsum("...ltjs->...jlst", x.reshape(*x.shape[:-2], n, m, n, m))
+        return f @ c.reshape(*x.shape[:-2], n * n, m * m) @ g.T
 
     def flat_index(self, mu: int, nu: int) -> int:
         n, m = self.dims
@@ -141,13 +162,8 @@ def build_basis(dim: int) -> HermitianBasis:
 
 
 def joint_basis(basis_s: HermitianBasis, basis_r: HermitianBasis) -> JointBasis:
-    """Tensor table F_{mu nu} = F_mu (x) F_nu from two single-system families."""
-    n, m = basis_s.dim, basis_r.dim
-    # (f * g)[mu, nu, i, r, j, s] = F_mu[i, j] G_nu[r, s], the entries of kron
-    f = basis_s.elements[:, None, :, None, :, None]
-    g = basis_r.elements[None, :, None, :, None, :]
-    table = (f * g).reshape(n**2, m**2, n * m, n * m)
-    return JointBasis(basis_s=basis_s, basis_r=basis_r, elements=table)
+    """Product family F_{mu nu} = F_mu (x) G_nu of two single-system families."""
+    return JointBasis(basis_s=basis_s, basis_r=basis_r)
 
 
 def expand(matrix: np.ndarray, basis: HermitianBasis) -> np.ndarray:

@@ -76,9 +76,9 @@ def default_tolerance() -> float:
     if raw is None:
         return DEFAULT_TOLERANCE
     try:
-        return float(raw)
+        return finite_number(raw)
     except ValueError as exc:
-        raise CliInputError(f"OPENMAP_TOL is not a number: {raw!r}") from exc
+        raise CliInputError(f"OPENMAP_TOL is not a finite number: {raw!r}") from exc
 
 
 def matrix_to_json(matrix) -> dict:
@@ -99,6 +99,22 @@ def _finite_float(x) -> float | None:
     except OverflowError:
         return None
     return x if math.isfinite(x) else None
+
+
+def finite_number(text: str) -> float:
+    """argparse type: a finite float; argparse reports the ValueError with exit 2."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
+def positive_int(text: str) -> int:
+    """argparse type: an integer >= 1; argparse reports the ValueError with exit 2."""
+    value = int(text)
+    if value < 1:
+        raise ValueError(f"not positive: {text!r}")
+    return value
 
 
 def _is_int(x) -> bool:
@@ -532,19 +548,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_demo = sub.add_parser("demo", help="two-qubit scenarios with closed-form oracles")
     p_demo.add_argument("name", choices=["fixed-mean", "fixed-corr", "disconnect", "domain"])
-    p_demo.add_argument("--gamma", type=float, default=np.pi / 3)
-    p_demo.add_argument("--xi3", type=float, default=0.0)
-    p_demo.add_argument("--corr13", type=float, default=0.0)
-    p_demo.add_argument("--corr23", type=float, default=0.0)
-    p_demo.add_argument("--mean-s2x3", type=float, default=0.0, dest="mean_s2x3")
-    p_demo.add_argument("--mean-s1x3", type=float, default=0.0, dest="mean_s1x3")
+    p_demo.add_argument("--gamma", type=finite_number, default=np.pi / 3)
+    p_demo.add_argument("--xi3", type=finite_number, default=0.0)
+    p_demo.add_argument("--corr13", type=finite_number, default=0.0)
+    p_demo.add_argument("--corr23", type=finite_number, default=0.0)
+    p_demo.add_argument("--mean-s2x3", type=finite_number, default=0.0, dest="mean_s2x3")
+    p_demo.add_argument("--mean-s1x3", type=finite_number, default=0.0, dest="mean_s1x3")
     p_demo.add_argument("--bloch", default="1,0,0", help="initial means v1,v2,v3")
     p_demo.add_argument("--contrast", default=None, help="second initial means for disconnect")
-    p_demo.add_argument("--grid", type=int, default=20, help="grid points per axis (domain)")
+    p_demo.add_argument("--grid", type=positive_int, default=20, help="grid points per axis (domain)")
     p_demo.add_argument("--thorough", action="store_true", help="feasibility search (domain)")
     p_demo.add_argument("--csv", default=None, help="write the domain grid as CSV (domain)")
     p_demo.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p_demo.add_argument("--tol", type=float, default=None)
+    p_demo.add_argument("--tol", type=finite_number, default=None)
     p_demo.add_argument("--out", type=Path, default=None)
     p_demo.set_defaults(func=cmd_demo)
 

@@ -244,13 +244,17 @@ def compatible(
         )
     pinned = table[fixed]
     nm = x.shape[0]
+    # row c is the flattened F_c of the c-th fixed coordinate, in table[fixed]
+    # order, so conj(elems) @ vec(p) = Tr[F_c p]; only these are re-imposed
+    onehot = np.zeros((len(pinned),) + fixed.shape)
+    onehot[(np.arange(len(pinned)),) + np.nonzero(fixed)] = 1.0
+    elems = basis.matrix(onehot).reshape(len(pinned), nm * nm)
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         p = (vecs * np.clip(w, 0.0, None)) @ vecs.conj().T
-        t = means_from_matrix(basis, p)
-        z = t[fixed] - pinned
-        t[fixed] = pinned
-        x = JointState(basis=basis, means=t).to_matrix()
+        z = (elems.conj() @ p.reshape(-1)).real - pinned
+        z1 = (z @ elems).reshape(nm, nm) / nm
+        x = p - z1
         w, vecs = np.linalg.eigh(x)
         # eigh and eigvalsh differ in the last digits: the stop is decided
         # by eigvalsh alone, as it is for the zero completion
@@ -258,12 +262,11 @@ def compatible(
             low = _min_eig(x)
             if low >= PSD_TOL:
                 break
-        # p - x is Z1 = sum_fixed z F / NM, with z[0] = Tr[Z1] (the identity
-        # comes first); Z = Z1 + s 1 pairs with X0 to z . pinned / NM + s and
-        # has trace z[0] + NM s. The smallest diagonal entry bounds
-        # lambda_min(Z1) from above, so it screens before any eigvalsh.
+        # Z1 = sum_fixed z F / NM, with z[0] = Tr[Z1] (the identity comes
+        # first); Z = Z1 + s 1 pairs with X0 to z . pinned / NM + s and has
+        # trace z[0] + NM s. The smallest diagonal entry bounds lambda_min(Z1)
+        # from above, so it screens before any eigvalsh.
         pairing = float(z @ pinned) / nm
-        z1 = p - x
         s = max(0.0, -float(z1.diagonal().real.min()))
         if pairing + s < -CERT_TOL * (z[0] + nm * s):
             s = max(0.0, -_min_eig(z1))

@@ -25,6 +25,7 @@ identically zero, so supplying them changes nothing.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -64,7 +65,7 @@ class FixedMeanParameters:
     """Fixed joint mean values for the fixed-mean-value family.
 
     fixed_means maps index pairs (mu, nu) with 0 <= mu < N^2 and
-    1 <= nu < M^2 to real values; pairs not listed are fixed at zero.
+    1 <= nu < M^2 to finite real values; pairs not listed are fixed at zero.
     """
 
     dims: tuple[int, int]
@@ -82,6 +83,8 @@ class FixedMeanParameters:
                     f"mean index {key} out of range for dims {self.dims} (need nu >= 1)"
                 )
             value = float(value)
+            if not math.isfinite(value):
+                raise ValueError(f"fixed mean {key} must be finite, got {value}")
             clean[(int(mu), int(nu))] = value
         object.__setattr__(self, "fixed_means", MappingProxyType(clean))
 
@@ -138,24 +141,19 @@ def _assignment_map(
 ) -> AffineMap:
     """Q -> Tr_R[U (Q (x) sigma_R + X Tr[Q]) U^dag], X = sum coeffs F_{mu nu} / (N M).
 
-    coeffs is (N^2, M^2); only the single-system families are used.
+    coeffs is (N^2, M^2); X is formed from the two single-system families.
     """
     n, m = dims
     check_unitary(u, n * m)
     if basis is None:
-        basis_s, basis_r = build_basis(n), build_basis(m)
-    else:
-        basis_s, basis_r = basis.basis_s, basis.basis_r
+        basis = canonical_joint_basis(dims)
     # rep[i + N k, j + N l] = sum_{r s t} U[i r, j s] sigma[s, t] conj(U[k r, l t])
     u_sigma = (u.reshape(n * m * n, m) @ sigma_r).reshape(n, m, n, m)
     left = u_sigma.transpose(0, 2, 1, 3).reshape(n * n, m * m)
     right = u.conj().reshape(n, m, n, m).transpose(0, 2, 1, 3).reshape(n * n, m * m)
     rep = (left @ right.T).reshape(n, n, n, n).transpose(0, 2, 1, 3)
     homogeneous = SuperOperator(dim=n, rep=rep.reshape(n * n, n * n, order="F"))
-    # X[(j s), (l t)] = sum_mu F_mu[j, l] (sum_nu coeffs[mu, nu] G_nu[s, t])
-    partner = coeffs @ basis_r.elements.reshape(m * m, m * m)
-    x = basis_s.elements.reshape(n * n, n * n).T @ partner
-    x = x.reshape(n, n, m, m).transpose(0, 2, 1, 3).reshape(n * m, n * m) / (n * m)
+    x = basis.matrix(coeffs) / (n * m)
     offset = partial_trace_r(u @ x @ u.conj().T, dims)
     return AffineMap(homogeneous=homogeneous, offset=offset, kind=kind)
 

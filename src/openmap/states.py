@@ -43,7 +43,10 @@ def _as_real(values, what: str) -> np.ndarray:
     v = np.asarray(values)
     if np.iscomplexobj(v):
         raise ValueError(f"{what} must be real")
-    return np.asarray(v, dtype=float)
+    v = np.asarray(v, dtype=float)
+    if not np.isfinite(v).all():
+        raise ValueError(f"{what} entries must be finite")
+    return v
 
 
 @dataclass(frozen=True)
@@ -51,7 +54,7 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix.
 
     Construction validates all three: Hermiticity and trace to 1e-12,
-    smallest eigenvalue >= -1e-10.
+    smallest eigenvalue >= -1e-10. Non-finite entries are rejected.
     """
 
     dim: int
@@ -61,6 +64,8 @@ class DensityMatrix:
         m = np.asarray(self.matrix, dtype=complex)
         if m.shape != (self.dim, self.dim):
             raise ValueError(f"matrix shape {m.shape} does not match dim {self.dim}")
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix entries must be finite")
         if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
             raise ValueError("density matrix must be Hermitian")
         if abs(np.trace(m).real - 1.0) > HERMITIAN_TOL or abs(np.trace(m).imag) > HERMITIAN_TOL:
@@ -96,7 +101,7 @@ class JointState:
     def to_matrix(self) -> np.ndarray:
         """Matrix form Pi; Hermitian with unit trace by construction."""
         n, m = self.dims
-        return np.einsum("ab,abij->ij", self.means, self.basis.elements) / (n * m)
+        return self.basis.matrix(self.means) / (n * m)
 
 
 @dataclass(frozen=True)
@@ -163,7 +168,7 @@ def means_from_matrix(basis: JointBasis, matrix: np.ndarray) -> np.ndarray:
         )
     if np.abs(matrix - matrix.conj().T).max() > 1e-10:
         raise ValueError("mean extraction expects a Hermitian matrix")
-    return np.einsum("abij,ji->ab", basis.elements, matrix).real
+    return basis.traces(matrix).real
 
 
 def partial_trace_r(matrix: np.ndarray, dims: tuple[int, int]) -> np.ndarray:

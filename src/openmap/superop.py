@@ -14,12 +14,10 @@ The transfer matrix of a joint unitary U is the real table
 
     t[(alpha beta), (mu nu)] = Tr[F_{mu nu} U^dag F_{alpha beta} U] / (N*M),
 
-a real orthogonal matrix that propagates joint mean tables forward. As
-F_{mu nu} = F_mu (x) G_nu, the trace against each conjugated element
-U^dag F_{alpha beta} U factors: its (N^2, M^2) reshuffle is contracted
-with the partner family, then with the system family (vec and reshuffle
-identities: Wood, Biamonte and Cory, "Tensor networks and graphical
-calculus for open quantum systems", 2015).
+a real orthogonal matrix that propagates joint mean tables forward. Its
+rows are the traces of the conjugated elements U^dag F_{alpha beta} U
+against the joint family, contracted with the two single-system families
+by `JointBasis.traces`.
 """
 
 from __future__ import annotations
@@ -90,7 +88,7 @@ def basis_columns(basis: HermitianBasis) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SuperOperator:
-    """Linear map on N x N matrices in the column-stacking representation."""
+    """Linear map on N x N matrices in the column-stacking representation; finite entries."""
 
     dim: int
     rep: np.ndarray
@@ -99,6 +97,8 @@ class SuperOperator:
         r = np.asarray(self.rep, dtype=complex)
         if r.shape != (self.dim**2, self.dim**2):
             raise ValueError(f"rep shape {r.shape} does not match dim {self.dim}")
+        if not np.isfinite(r).all():
+            raise ValueError("superoperator entries must be finite")
         object.__setattr__(self, "rep", _freeze(r))
 
     def __call__(self, matrix: np.ndarray) -> np.ndarray:
@@ -158,6 +158,7 @@ class AffineMap:
     kind records how the map was built: "fixed-mean-value" and
     "fixed-correlation" for the two dynamics-derived families, "plain" for
     everything produced by algebra (composition, inversion, hand-built).
+    Non-finite entries in the offset are rejected.
     """
 
     homogeneous: SuperOperator
@@ -171,6 +172,8 @@ class AffineMap:
         n = self.homogeneous.dim
         if off.shape != (n, n):
             raise ValueError(f"offset shape {off.shape} does not match dim {n}")
+        if not np.isfinite(off).all():
+            raise ValueError("offset entries must be finite")
         object.__setattr__(self, "offset", _freeze(off))
 
     @property
@@ -247,13 +250,7 @@ def transfer_matrix(u: np.ndarray, basis: JointBasis) -> TransferMatrix:
     check_unitary(u, d)
     conjugated = np.matmul(np.matmul(u.conj().T, basis.flat_elements), u)
     k = conjugated.shape[0]
-    # C[a, j, s, l, t] -> C[a, (j l), (s t)]
-    c = conjugated.reshape(k, n, m, n, m).transpose(0, 1, 3, 2, 4).reshape(k, n * n, m * m)
-    # g[(s t), nu] = G_nu[t, s] and f[mu, (j l)] = F_mu[l, j]; one small
-    # product per row keeps every BLAS call below its threading threshold
-    g = basis_columns(basis.basis_r)
-    f = basis_columns(basis.basis_s).T
-    t = np.matmul(f, np.matmul(c, g)).reshape(k, k) / d
+    t = basis.traces(conjugated).reshape(k, k) / d
     if not (np.abs(t.imag).max() <= 1e-12):
         raise ValueError("transfer matrix should be real for a unitary input")
     t = np.ascontiguousarray(t.real)  # t.T @ t is slower on the strided .real view

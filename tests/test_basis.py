@@ -1,14 +1,20 @@
 """Orthogonal Hermitian bases: construction, Gram relations, expansions."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from openmap import (
     HermitianBasis,
-    JointBasis,
+    JointState,
     build_basis,
+    canonical_joint_basis,
     expand,
     joint_basis,
+    means_from_matrix,
     reconstruct,
 )
 from conftest import random_hermitian
@@ -80,6 +86,46 @@ def test_joint_elements_are_kron_pairs():
     assert np.max(np.abs(jb22.elements[3, 3] - np.kron(SZ, SZ))) < 1e-15
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=1, max_value=4),
+    m=st.integers(min_value=1, max_value=4),
+    stack=st.sampled_from([(), (3,), (2, 2)]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_joint_contractions_match_kron(n, m, stack, seed):
+    rng = np.random.default_rng(seed)
+    bs, br = build_basis(n), build_basis(m)
+    jb = joint_basis(bs, br)
+    kron = np.array([[np.kron(f, g) for g in br.elements] for f in bs.elements])
+    coeffs = rng.normal(size=stack + (n * n, m * m))
+    x = rng.normal(size=stack + (n * m, n * m)) + 1j * rng.normal(size=stack + (n * m, n * m))
+    got = jb.matrix(coeffs)
+    assert got.shape == stack + (n * m, n * m)
+    assert np.abs(got - np.einsum("...ab,abij->...ij", coeffs, kron)).max() <= 1e-13
+    traces = jb.traces(x)
+    assert traces.shape == stack + (n * n, m * m)
+    assert np.abs(traces - np.einsum("abij,...ji->...ab", kron, x)).max() <= 1e-13
+    assert np.abs(jb.traces(got) - n * m * coeffs).max() <= 1e-13
+
+
+def test_joint_round_trip_stores_no_product_table():
+    # the (4, 256, 32, 32) table of products would take 16 MB
+    rng = np.random.default_rng(5)
+    means = np.zeros((4, 256))
+    means[0, 0] = 1.0
+    means[1:, 1:] = rng.uniform(-0.01, 0.01, size=(3, 255))
+    tracemalloc.start()
+    try:
+        jb = canonical_joint_basis((2, 16))
+        back = means_from_matrix(jb, JointState(jb, means).to_matrix())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert np.abs(back - means).max() < 1e-12
+
+
 def test_expand_projector():
     b = build_basis(2)
     q = 0.5 * (np.eye(2) + SZ)
@@ -121,12 +167,6 @@ def test_basis_validation():
         build_basis(0)
     with pytest.raises(ValueError):
         expand(np.eye(3), build_basis(2))
-
-
-def test_joint_basis_validation():
-    bs = build_basis(2)
-    with pytest.raises(ValueError):
-        JointBasis(bs, bs, np.zeros((4, 4, 2, 2), dtype=complex))
 
 
 def _loop_basis(dim):

@@ -534,3 +534,36 @@ def test_non_finite_vector_options_exit_2(tmp_path, capsys, argv):
     assert "finite" in err
     assert out == ""
     assert not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, env_tol",
+    [
+        (["demo", "fixed-mean", "--gamma", "nan"], None),
+        (["demo", "fixed-mean", "--mean-s2x3", "inf"], None),
+        (["demo", "fixed-corr", "--xi3", "nan"], None),
+        (["demo", "fixed-corr", "--corr23=-inf"], None),
+        (["demo", "domain", "--corr13", "nan"], None),
+        (["demo", "domain", "--mean-s1x3", "nan"], None),
+        (["demo", "domain", "--grid", "-1"], None),
+        (["demo", "domain", "--grid", "0"], None),
+        (["demo", "fixed-mean", "--tol", "nan"], None),
+        (["demo", "fixed-mean"], "nan"),
+    ],
+    ids=[
+        "gamma-nan", "mean-s2x3-inf", "xi3-nan", "corr23-inf", "corr13-nan",
+        "mean-s1x3-nan", "grid-negative", "grid-zero", "tol-nan", "env-tol-nan",
+    ],
+)
+def test_non_finite_scenario_numbers_exit_2(tmp_path, capsys, monkeypatch, argv, env_tol):
+    if env_tol is not None:
+        monkeypatch.setenv("OPENMAP_TOL", env_tol)
+    out_file = tmp_path / "out.json"
+    try:
+        rc = main(argv + ["--out", str(out_file)])
+    except SystemExit as exc:  # argparse rejects a bad flag value with exit 2
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "finite" in err or "positive_int" in err
+    assert not out_file.exists()

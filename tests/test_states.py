@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 
 from openmap import (
+    AffineMap,
     CorrelationTable,
     DensityMatrix,
+    FixedMeanParameters,
     JointState,
     MeanValueVector,
+    SuperOperator,
     build_basis,
     correlations,
+    identity_superoperator,
     joint_basis,
     joint_from_means,
     mean_vector,
@@ -26,6 +30,32 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 def _jb(n, m):
     return joint_basis(build_basis(n), build_basis(m))
+
+
+def _poke(a, where, bad):
+    a = np.array(a)
+    a[where] = bad
+    return a
+
+
+NON_FINITE_BUILDS = {
+    "density-matrix": lambda bad: DensityMatrix(2, _poke(np.eye(2, dtype=complex) / 2, (0, 1), bad)),
+    "mean-vector": lambda bad: MeanValueVector(2, _poke(np.zeros(3), 1, bad)),
+    "correlation-table": lambda bad: CorrelationTable(_poke(np.zeros((3, 3)), (2, 0), bad)),
+    "joint-state": lambda bad: JointState(_jb(2, 2), _poke(np.diag([1.0, 0, 0, 0]), (1, 2), bad)),
+    "fixed-means": lambda bad: FixedMeanParameters((2, 2), {(1, 3): bad}),
+    "superoperator": lambda bad: SuperOperator(2, _poke(np.eye(4, dtype=complex), (3, 0), bad)),
+    "affine-offset": lambda bad: AffineMap(
+        identity_superoperator(2), _poke(np.zeros((2, 2), dtype=complex), (1, 1), bad), "plain"
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_BUILDS))
+def test_constructors_reject_non_finite(kind, bad):
+    with pytest.raises(ValueError, match="finite"):
+        NON_FINITE_BUILDS[kind](bad)
 
 
 def test_density_matrix_validation():
