@@ -10,12 +10,12 @@ variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,8 +39,6 @@ from .mapgen import (
 from .states import CorrelationTable, DensityMatrix, MeanValueVector
 from .superop import AffineMap, SuperOperator, check_unitary, transfer_matrix
 from .twoqubit import (
-    DisconnectionTranscript,
-    ScenarioReport,
     TwoQubitScenario,
     disconnection_demo,
     reproduce_fixed_corr,
@@ -54,6 +52,7 @@ EXIT_PRECONDITION = 3
 
 DEFAULT_SEED = 42
 DEFAULT_TOLERANCE = 1e-10
+MAX_GRID = 100  # demo domain runs up to 2 * MAX_GRID**3 queries
 
 
 class CliInputError(Exception):
@@ -62,13 +61,6 @@ class CliInputError(Exception):
 
 class CliPreconditionError(Exception):
     pass
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int = DEFAULT_SEED
-    tolerance: float = DEFAULT_TOLERANCE
-    out: Path | None = None
 
 
 def default_tolerance() -> float:
@@ -83,7 +75,24 @@ def default_tolerance() -> float:
 
 def matrix_to_json(matrix) -> dict:
     m = np.asarray(matrix, dtype=complex)
-    return {"rows": [[[float(z.real), float(z.imag)] for z in row] for row in m]}
+    return {"rows": np.stack((m.real, m.imag), axis=-1).tolist()}
+
+
+def to_json(value):
+    """A report as JSON values: dataclass fields in declaration order,
+    complex arrays as MatrixJSON, real arrays and tuples as lists, and
+    non-finite floats as None."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return to_json(matrix_to_json(value) if np.iscomplexobj(value) else value.tolist())
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [to_json(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def _finite_float(x) -> float | None:
@@ -114,6 +123,14 @@ def positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise ValueError(f"not positive: {text!r}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0; argparse reports the ValueError with exit 2."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"negative: {text!r}")
     return value
 
 
@@ -261,75 +278,26 @@ def _check_unitary_input(u: np.ndarray) -> None:
         raise CliPreconditionError(str(exc)) from exc
 
 
+# --kind -> (params decoder, map builder, domain query kind)
+_KINDS = {
+    "fixed-mean": (mean_params_from_json, fixed_mean_value_map, "fixed-mean-value"),
+    "fixed-corr": (corr_params_from_json, fixed_correlation_map, "fixed-correlation"),
+}
+
+
 def _emit(doc: dict, out: Path | None) -> None:
-    text = json.dumps(doc, indent=2)
+    text = json.dumps(to_json(doc), indent=2, allow_nan=False)
     if out is None:
         print(text)
     else:
         out.write_text(text + "\n")
 
 
-def _float_list(values) -> list[float]:
-    return [float(x) for x in np.asarray(values).ravel()]
-
-
-def _checks_json(checks) -> list[dict]:
-    return [
-        {"name": c.name, "deviation": c.deviation, "passed": c.passed} for c in checks
-    ]
-
-
-def scenario_report_json(report: ScenarioReport) -> dict:
-    s = report.scenario
-    return {
-        "label": report.label,
-        "scenario": {
-            "gamma": s.gamma,
-            "xi3": s.xi3,
-            "corr13": s.corr13,
-            "corr23": s.corr23,
-            "mean_s2x3": s.mean_s2x3,
-            "mean_s1x3": s.mean_s1x3,
-        },
-        "tolerance": report.tolerance,
-        "checks": _checks_json(report.checks),
-        "max_deviation": report.max_deviation,
-        "ok": report.ok,
-    }
-
-
-def transcript_json(t: DisconnectionTranscript) -> dict:
-    doc = {
-        "gamma": t.gamma,
-        "initial_means": _float_list(t.initial_means),
-        "forward_means": _float_list(t.forward_means),
-        "evolved_mean_s2x3": t.evolved_mean_s2x3,
-        "evolved_mean_s1x3": t.evolved_mean_s1x3,
-        "backward_offset": matrix_to_json(t.backward_offset),
-        "returned_means": _float_list(t.returned_means),
-        "round_trip_deviation": t.round_trip_deviation,
-        "checks": _checks_json(t.checks),
-        "ok": t.ok,
-    }
-    if t.contrast is not None:
-        doc["contrast"] = {
-            "initial_means": _float_list(t.contrast.initial_means),
-            "backward_offset": matrix_to_json(t.contrast.backward_offset),
-            "offset_difference": t.contrast.offset_difference,
-        }
-    return doc
-
-
 def cmd_build(args) -> int:
     u = matrix_from_json(_load_json(args.unitary))
     _check_unitary_input(u)
-    params_doc = _load_json(args.params)
-    if args.kind == "fixed-mean":
-        params = mean_params_from_json(params_doc)
-        builder = fixed_mean_value_map
-    else:
-        params = corr_params_from_json(params_doc)
-        builder = fixed_correlation_map
+    decode, builder, _ = _KINDS[args.kind]
+    params = decode(_load_json(args.params))
     n, m = params.dims
     if u.shape != (n * m, n * m):
         raise CliInputError(
@@ -356,30 +324,15 @@ def cmd_analyze(args) -> int:
     except (ValueError, InconsistentCriteriaError) as exc:
         raise CliPreconditionError(str(exc)) from exc
     cp_report = choi_analysis(m.homogeneous)
-    realizability = dynamics_realizability(m)
+    detail = to_json(dynamics_realizability(m))
     doc = {
-        "invertible": inv_report.invertible,
-        "kernel_dimension": inv_report.kernel_dimension,
-        "smallest_singular_value": inv_report.smallest_singular_value,
-        "basis_image_rank": inv_report.basis_image_rank,
-        "mean_map_kernel_dimension": inv_report.mean_map_kernel_dimension,
-        "condition_number": _finite_float(inv_report.condition_number),  # inf -> null
-        "choi_eigenvalues": _float_list(cp_report.choi_eigenvalues),
-        "is_cp": cp_report.is_cp,
-        "is_tp": cp_report.is_tp,
-        "is_unital": cp_report.is_unital,
+        **to_json(inv_report),
+        **to_json(cp_report),
         "choi_rank": cp_report.choi_rank,
-        "realizability": realizability.verdict,
-        "realizability_detail": {
-            "is_hermiticity_preserving": realizability.is_hermiticity_preserving,
-            "is_tp": realizability.is_tp,
-            "is_cp": realizability.is_cp,
-            "is_unital": realizability.is_unital,
-            "is_invertible": realizability.is_invertible,
-            "choi_rank": realizability.choi_rank,
-            "min_choi_eigenvalue": realizability.min_choi_eigenvalue,
-        },
+        "realizability": detail.pop("verdict"),
+        "realizability_detail": detail,
     }
+    del doc["kraus_factors"]
     _emit(doc, args.out)
     return EXIT_OK
 
@@ -404,70 +357,66 @@ def _parse_vector(text: str, what: str) -> np.ndarray:
     return v
 
 
+def _scenario(args, *names: str) -> TwoQubitScenario:
+    """The scenario at --gamma with the named flags; out of range is exit 3."""
+    try:
+        return TwoQubitScenario(gamma=args.gamma, **{name: getattr(args, name) for name in names})
+    except ValueError as exc:
+        raise CliPreconditionError(str(exc)) from exc
+
+
 def cmd_demo(args) -> int:
     tol = args.tol if args.tol is not None else default_tolerance()
-    if args.name == "fixed-mean":
-        scenario = TwoQubitScenario(
-            gamma=args.gamma,
-            mean_s2x3=args.mean_s2x3,
-            mean_s1x3=args.mean_s1x3,
-        )
-        report = reproduce_fixed_mean(scenario, tolerance=tol, seed=args.seed)
-        _emit(scenario_report_json(report), args.out)
-        if not report.ok:
-            print(f"oracle mismatch: {', '.join(report.failures())}", file=sys.stderr)
-            return EXIT_ORACLE
-        return EXIT_OK
-    if args.name == "fixed-corr":
-        try:
-            scenario = TwoQubitScenario(
-                gamma=args.gamma, xi3=args.xi3, corr13=args.corr13, corr23=args.corr23
-            )
-        except ValueError as exc:
-            raise CliPreconditionError(str(exc)) from exc
-        report = reproduce_fixed_corr(scenario, tolerance=tol, seed=args.seed)
-        det = np.cos(args.gamma) ** 2 + args.xi3**2 * np.sin(args.gamma) ** 2
-        doc = scenario_report_json(report)
-        doc["determinant"] = float(det)
-        doc["invertible"] = bool(det > 1e-12)
-        _emit(doc, args.out)
-        if not report.ok:
-            print(f"oracle mismatch: {', '.join(report.failures())}", file=sys.stderr)
-            return EXIT_ORACLE
-        return EXIT_OK
+    if args.name == "domain":
+        return _demo_domain(args)
     if args.name == "disconnect":
         bloch = _parse_vector(args.bloch, "--bloch")
         contrast = _parse_vector(args.contrast, "--contrast") if args.contrast else None
         try:
-            transcript = disconnection_demo(args.gamma, bloch, contrast, tolerance=tol)
+            report = disconnection_demo(args.gamma, bloch, contrast, tolerance=tol)
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
-        _emit(transcript_json(transcript), args.out)
-        if not transcript.ok:
-            print(f"oracle mismatch: {', '.join(transcript.failures())}", file=sys.stderr)
-            return EXIT_ORACLE
-        return EXIT_OK
-    # domain comparison over the sampled grid
-    mean_params = FixedMeanParameters(
-        dims=(2, 2), fixed_means={(2, 3): args.mean_s2x3, (1, 3): args.mean_s1x3}
-    )
-    try:
-        rho_r = DensityMatrix(
-            dim=2, matrix=np.array([[1 + args.xi3, 0], [0, 1 - args.xi3]], dtype=complex) / 2
-        )
-    except ValueError as exc:
-        raise CliPreconditionError(str(exc)) from exc
-    gamma = np.zeros((3, 3))
-    gamma[0, 2] = args.corr13
-    gamma[1, 2] = args.corr23
-    corr_params = FixedCorrelationParameters(
-        dims=(2, 2), rho_r=rho_r, gamma=CorrelationTable(gamma=gamma)
-    )
+        doc = to_json(report)
+        contrast_doc = doc.pop("contrast")
+        doc["ok"] = report.ok
+        if contrast_doc is not None:
+            doc["contrast"] = contrast_doc
+    elif args.name == "fixed-mean":
+        scenario = _scenario(args, "mean_s2x3", "mean_s1x3")
+        report = reproduce_fixed_mean(scenario, tolerance=tol, seed=args.seed)
+        doc = {**to_json(report), "max_deviation": report.max_deviation, "ok": report.ok}
+    else:
+        scenario = _scenario(args, "xi3", "corr13", "corr23")
+        report = reproduce_fixed_corr(scenario, tolerance=tol, seed=args.seed)
+        det = np.cos(args.gamma) ** 2 + args.xi3**2 * np.sin(args.gamma) ** 2
+        doc = {
+            **to_json(report),
+            "max_deviation": report.max_deviation,
+            "ok": report.ok,
+            "determinant": float(det),
+            "invertible": bool(det > 1e-12),
+        }
+    _emit(doc, args.out)
+    if not report.ok:
+        print(f"oracle mismatch: {', '.join(report.failures())}", file=sys.stderr)
+        return EXIT_ORACLE
+    return EXIT_OK
+
+
+def _demo_domain(args) -> int:
+    """Domain comparison over the sampled grid."""
+    if args.grid > MAX_GRID:
+        raise CliInputError(f"--grid must be at most {MAX_GRID}, got {args.grid}")
+    scenario = _scenario(args, "xi3", "corr13", "corr23", "mean_s2x3", "mean_s1x3")
     report = domain_shrinkage_demo(
-        mean_params, corr_params, grid_points=args.grid, thorough=args.thorough, seed=args.seed
+        scenario.fixed_mean_parameters(),
+        scenario.fixed_correlation_parameters(),
+        grid_points=args.grid,
+        thorough=args.thorough,
+        seed=args.seed,
     )
     doc = {
-        "dims": list(report.dims),
+        "dims": report.dims,
         "grid_points": report.grid_points,
         "thorough": report.thorough,
         "total": report.total,
@@ -477,7 +426,7 @@ def cmd_demo(args) -> int:
         "corr_only_count": report.corr_only_count,
         "mean_undecided_count": report.mean_undecided_count,
         "corr_undecided_count": report.corr_undecided_count,
-        "mean_only_examples": [_float_list(row) for row in report.mean_only_examples()],
+        "mean_only_examples": report.mean_only_examples(),
     }
     _emit(doc, args.out)
     if args.csv:
@@ -491,13 +440,8 @@ def cmd_demo(args) -> int:
 
 
 def cmd_domain(args) -> int:
-    params_doc = _load_json(args.params)
-    if args.kind == "fixed-mean":
-        params = mean_params_from_json(params_doc)
-        kind = "fixed-mean-value"
-    else:
-        params = corr_params_from_json(params_doc)
-        kind = "fixed-correlation"
+    decode, _, kind = _KINDS[args.kind]
+    params = decode(_load_json(args.params))
     v = _parse_vector(args.mean, "--mean")
     n = params.dims[0]
     try:
@@ -512,7 +456,7 @@ def cmd_domain(args) -> int:
         "min_eigenvalue": result.min_eigenvalue,
         "method": result.method,
         "iterations": result.iterations,
-        "witness": None if result.witness is None else matrix_to_json(result.witness),
+        "witness": result.witness,
         "verdict": result.verdict,
         "certified": result.certificate is not None,
     }
@@ -528,25 +472,26 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Build, analyze, and invert affine subsystem maps from bipartite unitaries.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", type=Path, default=None)
 
-    p_build = sub.add_parser("build", help="build a map from a unitary and a params file")
-    p_build.add_argument("--kind", choices=["fixed-mean", "fixed-corr"], required=True)
+    def command(name, func, text):
+        p = sub.add_parser(name, parents=[output], help=text)
+        p.set_defaults(func=func)
+        return p
+
+    p_build = command("build", cmd_build, "build a map from a unitary and a params file")
+    p_build.add_argument("--kind", choices=list(_KINDS), required=True)
     p_build.add_argument("--unitary", required=True, help="MatrixJSON file")
     p_build.add_argument("--params", required=True, help="params JSON file")
-    p_build.add_argument("--out", type=Path, default=None)
-    p_build.set_defaults(func=cmd_build)
 
-    p_analyze = sub.add_parser("analyze", help="invertibility + CP + realizability report")
+    p_analyze = command("analyze", cmd_analyze, "invertibility + CP + realizability report")
     p_analyze.add_argument("map", help="AffineMap JSON file")
-    p_analyze.add_argument("--out", type=Path, default=None)
-    p_analyze.set_defaults(func=cmd_analyze)
 
-    p_invert = sub.add_parser("invert", help="invert a map file")
+    p_invert = command("invert", cmd_invert, "invert a map file")
     p_invert.add_argument("map", help="AffineMap JSON file")
-    p_invert.add_argument("--out", type=Path, default=None)
-    p_invert.set_defaults(func=cmd_invert)
 
-    p_demo = sub.add_parser("demo", help="two-qubit scenarios with closed-form oracles")
+    p_demo = command("demo", cmd_demo, "two-qubit scenarios with closed-form oracles")
     p_demo.add_argument("name", choices=["fixed-mean", "fixed-corr", "disconnect", "domain"])
     p_demo.add_argument("--gamma", type=finite_number, default=np.pi / 3)
     p_demo.add_argument("--xi3", type=finite_number, default=0.0)
@@ -556,21 +501,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--mean-s1x3", type=finite_number, default=0.0, dest="mean_s1x3")
     p_demo.add_argument("--bloch", default="1,0,0", help="initial means v1,v2,v3")
     p_demo.add_argument("--contrast", default=None, help="second initial means for disconnect")
-    p_demo.add_argument("--grid", type=positive_int, default=20, help="grid points per axis (domain)")
+    p_demo.add_argument(
+        "--grid", type=positive_int, default=20,
+        help=f"grid points per axis, at most {MAX_GRID} (domain)",
+    )
     p_demo.add_argument("--thorough", action="store_true", help="feasibility search (domain)")
     p_demo.add_argument("--csv", default=None, help="write the domain grid as CSV (domain)")
-    p_demo.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p_demo.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED)
     p_demo.add_argument("--tol", type=finite_number, default=None)
-    p_demo.add_argument("--out", type=Path, default=None)
-    p_demo.set_defaults(func=cmd_demo)
 
-    p_domain = sub.add_parser("domain", help="compatibility of one mean vector with params")
-    p_domain.add_argument("--kind", choices=["fixed-mean", "fixed-corr"], required=True)
+    p_domain = command("domain", cmd_domain, "compatibility of one mean vector with params")
+    p_domain.add_argument("--kind", choices=list(_KINDS), required=True)
     p_domain.add_argument("--params", required=True, help="params JSON file")
     p_domain.add_argument("--mean", required=True, help="mean vector v1,v2,...")
     p_domain.add_argument("--thorough", action="store_true")
-    p_domain.add_argument("--out", type=Path, default=None)
-    p_domain.set_defaults(func=cmd_domain)
 
     return parser
 

@@ -368,7 +368,7 @@ def domain_shrinkage_demo(
     basis = canonical_joint_basis(mean_params.dims)
     if n == 2:
         axis = np.linspace(-1.0, 1.0, grid_points)
-        samples = np.array([(a, b, c) for a in axis for b in axis for c in axis])
+        samples = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
     else:
         rng = np.random.default_rng(seed)
         count = grid_points**3

@@ -90,6 +90,23 @@ class TwoQubitScenario:
         if abs(self.xi3) > 1.0:
             raise ValueError(f"partner polarization must lie in [-1, 1], got {self.xi3}")
 
+    def fixed_mean_parameters(self) -> FixedMeanParameters:
+        """<s2 (x) sz> and <s1 (x) sz> fixed at mean_s2x3 and mean_s1x3."""
+        return FixedMeanParameters(
+            dims=(2, 2), fixed_means={(2, 3): self.mean_s2x3, (1, 3): self.mean_s1x3}
+        )
+
+    def fixed_correlation_parameters(self) -> FixedCorrelationParameters:
+        """Partner state (1 + xi3 sz)/2 with Gamma_13 = corr13 and Gamma_23 = corr23."""
+        gamma = np.zeros((3, 3))
+        gamma[0, 2] = self.corr13
+        gamma[1, 2] = self.corr23
+        return FixedCorrelationParameters(
+            dims=(2, 2),
+            rho_r=DensityMatrix(dim=2, matrix=(_EYE2 + self.xi3 * SIGMA_Z) / 2),
+            gamma=CorrelationTable(gamma=gamma),
+        )
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -145,8 +162,7 @@ def reproduce_fixed_mean(
     c, s = np.cos(g), np.sin(g)
     a, b = scenario.mean_s2x3, scenario.mean_s1x3
     u = two_qubit_unitary(g)
-    params = FixedMeanParameters(dims=(2, 2), fixed_means={(2, 3): a, (1, 3): b})
-    m = fixed_mean_value_map(u, params)
+    m = fixed_mean_value_map(u, scenario.fixed_mean_parameters())
     checks = []
 
     closed_images = [_EYE2, c * SIGMA_X, c * SIGMA_Y, SIGMA_Z]
@@ -218,14 +234,7 @@ def reproduce_fixed_corr(
     x = scenario.xi3
     c13, c23 = scenario.corr13, scenario.corr23
     u = two_qubit_unitary(g)
-    rho_r = DensityMatrix(dim=2, matrix=(_EYE2 + x * SIGMA_Z) / 2)
-    gamma_table = np.zeros((3, 3))
-    gamma_table[0, 2] = c13
-    gamma_table[1, 2] = c23
-    params = FixedCorrelationParameters(
-        dims=(2, 2), rho_r=rho_r, gamma=CorrelationTable(gamma=gamma_table)
-    )
-    m = fixed_correlation_map(u, params)
+    m = fixed_correlation_map(u, scenario.fixed_correlation_parameters())
     checks = []
 
     closed_images = [

@@ -16,6 +16,7 @@ from openmap import (
     vec,
 )
 from openmap.cli import (
+    MAX_GRID,
     _build_parser,
     affine_map_from_json,
     affine_map_to_json,
@@ -566,4 +567,28 @@ def test_non_finite_scenario_numbers_exit_2(tmp_path, capsys, monkeypatch, argv,
     err = capsys.readouterr().err
     assert rc == 2
     assert "finite" in err or "positive_int" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("name", ["fixed-mean", "fixed-corr", "domain"])
+def test_negative_seed_exits_2(tmp_path, capsys, name):
+    out_file = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", name, "--seed", "-1", "--out", str(out_file)])
+    assert exc.value.code == 2
+    assert "non_negative_int" in capsys.readouterr().err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("grid", [MAX_GRID + 1, 100_000_000])
+def test_grid_above_maximum_exits_2_before_sampling(tmp_path, capsys, monkeypatch, grid):
+    def refuse(*args, **kwargs):
+        raise AssertionError("domain_shrinkage_demo called")
+
+    monkeypatch.setattr("openmap.cli.domain_shrinkage_demo", refuse)
+    out_file = tmp_path / "out.json"
+    rc, out, err = _run(capsys, ["demo", "domain", "--grid", str(grid), "--out", str(out_file)])
+    assert rc == 2
+    assert f"at most {MAX_GRID}" in err
+    assert out == ""
     assert not out_file.exists()
