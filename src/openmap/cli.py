@@ -78,21 +78,27 @@ def matrix_to_json(matrix) -> dict:
     return {"rows": np.stack((m.real, m.imag), axis=-1).tolist()}
 
 
+def _fields(report) -> dict:
+    """A dataclass's fields by name, in declaration order."""
+    return {f.name: getattr(report, f.name) for f in dataclasses.fields(report)}
+
+
 def to_json(value):
     """A report as JSON values: dataclass fields in declaration order,
     complex arrays as MatrixJSON, real arrays and tuples as lists, and
     non-finite floats as None."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: to_json(getattr(value, f.name)) for f in dataclasses.fields(value)}
-    if isinstance(value, np.ndarray):
-        return to_json(matrix_to_json(value) if np.iscomplexobj(value) else value.tolist())
-    if isinstance(value, dict):
-        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if value is None or isinstance(value, (int, str)):
+        return value
     if isinstance(value, (list, tuple)):
         return [to_json(item) for item in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
+    if isinstance(value, dict):
+        return {key: to_json(item) for key, item in value.items()}
+    if isinstance(value, np.ndarray):
+        doc = matrix_to_json(value) if np.iscomplexobj(value) else value.tolist()
+        return doc if np.isfinite(value).all() else to_json(doc)
+    return to_json(_fields(value))
 
 
 def _finite_float(x) -> float | None:
@@ -165,16 +171,12 @@ def matrix_from_json(obj) -> np.ndarray:
     return np.array(out, dtype=complex)
 
 
-def affine_map_to_json(m: AffineMap, extra: dict | None = None) -> dict:
-    doc = {
-        "kind": m.kind,
-        "dim": m.dim,
-        "homogeneous": matrix_to_json(m.homogeneous.rep),
-        "offset": matrix_to_json(m.offset),
-    }
-    if extra:
-        doc.update(extra)
-    return doc
+def _map_fields(m: AffineMap) -> dict:
+    return {"kind": m.kind, "dim": m.dim, "homogeneous": m.homogeneous.rep, "offset": m.offset}
+
+
+def affine_map_to_json(m: AffineMap) -> dict:
+    return to_json(_map_fields(m))
 
 
 def affine_map_from_json(obj) -> AffineMap:
@@ -306,14 +308,12 @@ def cmd_build(args) -> int:
     basis = canonical_joint_basis(params.dims)
     mapped = builder(u, params, basis=basis)
     report = detect_parameters(transfer_matrix(u, basis))
-    extra = {
-        "detected_parameters": {
-            "fixed_mean": sorted(report.fixed_mean_indices),
-            "environment": sorted(report.environment_mean_indices),
-            "correlation": sorted(report.correlation_indices),
-        }
+    detected = {
+        "fixed_mean": sorted(report.fixed_mean_indices),
+        "environment": sorted(report.environment_mean_indices),
+        "correlation": sorted(report.correlation_indices),
     }
-    _emit(affine_map_to_json(mapped, extra), args.out)
+    _emit({**_map_fields(mapped), "detected_parameters": detected}, args.out)
     return EXIT_OK
 
 
@@ -324,10 +324,10 @@ def cmd_analyze(args) -> int:
     except (ValueError, InconsistentCriteriaError) as exc:
         raise CliPreconditionError(str(exc)) from exc
     cp_report = choi_analysis(m.homogeneous)
-    detail = to_json(dynamics_realizability(m))
+    detail = _fields(dynamics_realizability(m))
     doc = {
-        **to_json(inv_report),
-        **to_json(cp_report),
+        **_fields(inv_report),
+        **_fields(cp_report),
         "choi_rank": cp_report.choi_rank,
         "realizability": detail.pop("verdict"),
         "realizability_detail": detail,
@@ -343,7 +343,7 @@ def cmd_invert(args) -> int:
         inverse = invert(m)
     except (ValueError, InconsistentCriteriaError) as exc:  # SingularMapError is a ValueError
         raise CliPreconditionError(str(exc)) from exc
-    _emit(affine_map_to_json(inverse), args.out)
+    _emit(_map_fields(inverse), args.out)
     return EXIT_OK
 
 
@@ -376,21 +376,21 @@ def cmd_demo(args) -> int:
             report = disconnection_demo(args.gamma, bloch, contrast, tolerance=tol)
         except ValueError as exc:
             raise CliInputError(str(exc)) from exc
-        doc = to_json(report)
-        contrast_doc = doc.pop("contrast")
+        doc = _fields(report)
+        contrast_leg = doc.pop("contrast")
         doc["ok"] = report.ok
-        if contrast_doc is not None:
-            doc["contrast"] = contrast_doc
+        if contrast_leg is not None:
+            doc["contrast"] = contrast_leg
     elif args.name == "fixed-mean":
         scenario = _scenario(args, "mean_s2x3", "mean_s1x3")
         report = reproduce_fixed_mean(scenario, tolerance=tol, seed=args.seed)
-        doc = {**to_json(report), "max_deviation": report.max_deviation, "ok": report.ok}
+        doc = {**_fields(report), "max_deviation": report.max_deviation, "ok": report.ok}
     else:
         scenario = _scenario(args, "xi3", "corr13", "corr23")
         report = reproduce_fixed_corr(scenario, tolerance=tol, seed=args.seed)
         det = np.cos(args.gamma) ** 2 + args.xi3**2 * np.sin(args.gamma) ** 2
         doc = {
-            **to_json(report),
+            **_fields(report),
             "max_deviation": report.max_deviation,
             "ok": report.ok,
             "determinant": float(det),

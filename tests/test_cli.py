@@ -592,3 +592,12 @@ def test_grid_above_maximum_exits_2_before_sampling(tmp_path, capsys, monkeypatc
     assert f"at most {MAX_GRID}" in err
     assert out == ""
     assert not out_file.exists()
+
+
+def test_demo_domain_xi3_out_of_range_exits_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("openmap.cli.domain_shrinkage_demo", None)  # never reached
+    out_file = tmp_path / "out.json"
+    rc, out, err = _run(capsys, ["demo", "domain", "--xi3", "1.5", "--out", str(out_file)])
+    assert rc == 3
+    assert "precondition" in err
+    assert out == "" and not out_file.exists()
