@@ -5,8 +5,8 @@ the kernel of the homogeneous rep (SVD), the rank of the basis-element
 images, and the kernel of the induced mean-value map. Both the images
 and the mean-value map come from one product of the rep with the
 column-stacked basis table (column a is vec(F_a)), not from N^2 separate
-applications of the map. Singular values below 1e-10 times the largest
-count as zero. For the trace-preserving maps this package builds,
+applications of the map. Singular values at most RANK_TOL times the
+largest count as zero. For the trace-preserving maps this package builds,
 agreement is a theorem (in basis coordinates the rep is block triangular
 over the mean-value block); disagreement therefore means a corrupted
 input and raises InconsistentCriteriaError rather than returning a guess.
@@ -40,10 +40,9 @@ from .superop import (
     mean_affine,
     vec,
 )
+from .tolerances import PSD_TOL, RANK_TOL
 
 __all__ = [
-    "RELATIVE_RANK_TOL",
-    "CP_TOL",
     "InvertibilityReport",
     "CPReport",
     "RealizabilityReport",
@@ -56,10 +55,6 @@ __all__ = [
     "purity_inequality",
     "dynamics_realizability",
 ]
-
-RELATIVE_RANK_TOL = 1e-10
-CP_TOL = -1e-10
-
 
 class InconsistentCriteriaError(RuntimeError):
     """The three invertibility criteria disagreed; the input is not trusted."""
@@ -98,11 +93,7 @@ class CPReport:
 
     @property
     def choi_rank(self) -> int:
-        eigs = np.abs(self.choi_eigenvalues)
-        top = eigs.max()
-        if top == 0.0:
-            return 0
-        return int(np.count_nonzero(eigs > RELATIVE_RANK_TOL * top))
+        return _relative_rank(np.abs(self.choi_eigenvalues))
 
 
 @dataclass(frozen=True)
@@ -133,11 +124,12 @@ class RealizabilityReport:
     min_choi_eigenvalue: float
 
 
-def _rank_from_singular_values(sv: np.ndarray) -> int:
-    top = sv.max(initial=0.0)
+def _relative_rank(values: np.ndarray) -> int:
+    """How many nonnegative values exceed RANK_TOL times the largest."""
+    top = values.max(initial=0.0)
     if top == 0.0:
         return 0
-    return int(np.count_nonzero(sv > RELATIVE_RANK_TOL * top))
+    return int(np.count_nonzero(values > RANK_TOL * top))
 
 
 def invertibility(m: AffineMap, basis: HermitianBasis | None = None) -> InvertibilityReport:
@@ -147,15 +139,15 @@ def invertibility(m: AffineMap, basis: HermitianBasis | None = None) -> Invertib
         basis = build_basis(n)
     rep = m.homogeneous.rep
     sv = np.linalg.svd(rep, compute_uv=False)
-    kernel_dim = n**2 - _rank_from_singular_values(sv)
+    kernel_dim = n**2 - _relative_rank(sv)
 
     # mean_affine runs first: it rejects a basis of the wrong dimension
     mean_sv = np.linalg.svd(mean_affine(m, basis).matrix, compute_uv=False)
-    mean_kernel = (n**2 - 1) - _rank_from_singular_values(mean_sv)
+    mean_kernel = (n**2 - 1) - _relative_rank(mean_sv)
 
     images = (rep @ basis_columns(basis)).T  # row a is vec(h(F_a))
     image_sv = np.linalg.svd(images, compute_uv=False)
-    image_rank = _rank_from_singular_values(image_sv)
+    image_rank = _relative_rank(image_sv)
 
     verdicts = (kernel_dim == 0, image_rank == n**2, mean_kernel == 0)
     if len(set(verdicts)) != 1:
@@ -207,11 +199,11 @@ def choi_analysis(s: SuperOperator) -> CPReport:
     n = s.dim
     c = choi_matrix(s)
     eigs, vecs = np.linalg.eigh(c)
-    cp = bool(eigs.min() >= CP_TOL)
+    cp = bool(eigs.min() >= PSD_TOL)
     kraus: tuple[np.ndarray, ...] | None = None
     if cp:
         top = max(float(eigs.max()), 0.0)
-        keep = [a for a in range(n**2) if eigs[a] > RELATIVE_RANK_TOL * top]
+        keep = [a for a in range(n**2) if eigs[a] > RANK_TOL * top]
         factors = []
         for a in reversed(keep):  # largest weight first
             w = vecs[:, a].reshape(n, n)  # w[i, k], row index (i, k) -> i*N + k
@@ -268,13 +260,12 @@ def dynamics_realizability(m: AffineMap) -> RealizabilityReport:
     tp = is_trace_preserving(full)
     unital = is_unital(full)
     sv = np.linalg.svd(full.rep, compute_uv=False)
-    invertible = _rank_from_singular_values(sv) == n**2
+    invertible = _relative_rank(sv) == n**2
     if herm:
         eigs = np.linalg.eigvalsh(choi_matrix(full))
         min_eig = float(eigs.min())
-        cp = bool(min_eig >= CP_TOL)
-        top = float(np.abs(eigs).max())
-        choi_rank = 0 if top == 0.0 else int(np.count_nonzero(np.abs(eigs) > RELATIVE_RANK_TOL * top))
+        cp = bool(min_eig >= PSD_TOL)
+        choi_rank = _relative_rank(np.abs(eigs))
     else:
         min_eig = float("nan")
         cp = False

@@ -3,8 +3,8 @@
 Exit codes: 0 success, 1 oracle/assertion failure, 2 input error,
 3 precondition failure. Matrices travel as {"rows": [[[re, im], ...]]};
 sparse mean and correlation tables as [mu, nu, value] triples. The default
-tolerance is 1e-10, overridable by --tol or the OPENMAP_TOL environment
-variable.
+tolerance is ORACLE_TOL (1e-10), overridable by --tol or the OPENMAP_TOL
+environment variable.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from .mapgen import (
 )
 from .states import CorrelationTable, DensityMatrix, MeanValueVector
 from .superop import AffineMap, SuperOperator, check_unitary, transfer_matrix
+from .tolerances import ORACLE_TOL, ROUNDING_TOL
 from .twoqubit import (
     TwoQubitScenario,
     disconnection_demo,
@@ -51,7 +52,6 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 
 DEFAULT_SEED = 42
-DEFAULT_TOLERANCE = 1e-10
 MAX_GRID = 100  # demo domain runs up to 2 * MAX_GRID**3 queries
 
 
@@ -66,7 +66,7 @@ class CliPreconditionError(Exception):
 def default_tolerance() -> float:
     raw = os.environ.get("OPENMAP_TOL")
     if raw is None:
-        return DEFAULT_TOLERANCE
+        return ORACLE_TOL
     try:
         return finite_number(raw)
     except ValueError as exc:
@@ -394,7 +394,7 @@ def cmd_demo(args) -> int:
             "max_deviation": report.max_deviation,
             "ok": report.ok,
             "determinant": float(det),
-            "invertible": bool(det > 1e-12),
+            "invertible": bool(det > ROUNDING_TOL),
         }
     _emit(doc, args.out)
     if not report.ok:

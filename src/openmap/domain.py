@@ -44,29 +44,19 @@ from .mapgen import (
     FixedMeanParameters,
     canonical_joint_basis,
 )
-from .states import PSD_TOL, JointState, MeanValueVector, mean_vector, means_from_matrix
+from .states import JointState, MeanValueVector, mean_vector, means_from_matrix
+from .tolerances import CERT_TOL, PSD_TOL, RESIDUAL_TOL, ROUNDING_TOL
 
 __all__ = [
     "DomainQuery",
     "CompatibilityResult",
     "ShrinkageReport",
-    "PSD_TOL",
-    "CERT_TOL",
-    "RESIDUAL_TOL",
     "MAX_ITERATIONS",
     "compatible",
     "domain_shrinkage_demo",
 ]
 
-# PSD_TOL (-1e-10, from states) bounds a witness's smallest eigenvalue. A
-# certificate proves that every completion has an eigenvalue below
-# -CERT_TOL; CERT_TOL >= RESIDUAL_TOL keeps it from coexisting with a
-# witness or with a compatible=True judgement.
-CERT_TOL = 1e-8
-RESIDUAL_TOL = 1e-8
 MAX_ITERATIONS = 500
-# rounding allowance for quantities recomputed from O(1) matrices
-_ROUNDING_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -102,13 +92,13 @@ class CompatibilityResult:
     verdict names what backs the answer:
 
     - "compatible": witness is a joint density matrix that strictly
-      carries the query (PSD to -1e-10, fixed means reproduced to 1e-12).
+      carries the query (PSD to PSD_TOL, fixed means to ROUNDING_TOL).
     - "incompatible": certificate is a verified dual certificate Z (see
       `compatible`) proving that no joint density matrix carries it.
     - "undecided": neither. compatible then reports the zero completion,
       or, after a thorough search that ran out of iterations, whether the
-      last iterate's negativity stayed within 1e-8 (compatible=True with
-      witness None).
+      last iterate's negativity stayed within RESIDUAL_TOL
+      (compatible=True with witness None).
 
     min_eigenvalue refers to the last completion tried.
     """
@@ -162,7 +152,7 @@ def _certificate_holds(
     n, m = basis.dims
     nm = n * m
     trace = float(np.trace(z).real)
-    tol = _ROUNDING_TOL * trace
+    tol = ROUNDING_TOL * trace
     shift = tol * (1.0 + np.sqrt(nm))
     slack = shift + tol * np.sqrt(nm) * float(np.linalg.norm(x0))
     pairing = float(np.einsum("ij,ji->", z, x0).real)
@@ -180,13 +170,13 @@ def compatible(
 ) -> CompatibilityResult:
     """Decide whether any joint density matrix carries the query.
 
-    The zero completion X0 is checked first; if it is positive to -1e-10
+    The zero completion X0 is checked first; if it is positive to PSD_TOL
     it is the witness. Otherwise, with thorough=True, an
     alternating-projection search follows: project onto the positive cone
     by eigenvalue clipping, re-impose the fixed coordinates, and repeat.
     The search ends in one of three ways.
 
-    - Witness: the re-imposed iterate is positive to -1e-10 by `eigvalsh`.
+    - Witness: the re-imposed iterate is positive to PSD_TOL by `eigvalsh`.
       Verdict "compatible".
     - Certificate: a matrix Z >= 0 with no component on the free
       coordinates and Tr[Z X0] < -CERT_TOL Tr[Z]. Tr[Z X] is the same for
@@ -194,7 +184,7 @@ def compatible(
       completion has an eigenvalue below -CERT_TOL and no density matrix
       carries the query (theorem of alternatives; Boyd & Vandenberghe,
       Convex Optimization, 2004, section 5.8). Verdict "incompatible".
-    - Neither within max_iterations: residual negativity above 1e-8 is
+    - Neither within max_iterations: residual negativity above RESIDUAL_TOL is
       reported as compatible=False, otherwise compatible=True without a
       witness. Verdict "undecided".
 
@@ -206,7 +196,7 @@ def compatible(
     of the identity (itself a fixed coordinate) to make it positive.
 
     Margin. A candidate is returned only after a re-check from scratch,
-    with tol = 1e-12 Tr[Z]: eigenvalues at least -tol, free components
+    with tol = ROUNDING_TOL Tr[Z]: eigenvalues at least -tol, free components
     |Tr[F Z]| at most tol, and the pairing with X0 below -CERT_TOL by a
     slack. Dropping the free components, whose sum has spectral and
     Frobenius norm at most tol sqrt(NM), and adding tol (1 + sqrt(NM))
@@ -258,7 +248,7 @@ def compatible(
         w, vecs = np.linalg.eigh(x)
         # eigh and eigvalsh differ in the last digits: the stop is decided
         # by eigvalsh alone, as it is for the zero completion
-        if w[0] >= PSD_TOL - _ROUNDING_TOL:
+        if w[0] >= PSD_TOL - ROUNDING_TOL:
             low = _min_eig(x)
             if low >= PSD_TOL:
                 break
@@ -284,7 +274,7 @@ def compatible(
     witness = None
     if low >= PSD_TOL:
         reproduced = means_from_matrix(basis, x)
-        if np.abs(reproduced[fixed] - table[fixed]).max() <= _ROUNDING_TOL:
+        if np.abs(reproduced[fixed] - table[fixed]).max() <= ROUNDING_TOL:
             witness = x
     return CompatibilityResult(
         compatible=bool(low >= -RESIDUAL_TOL),

@@ -43,12 +43,12 @@ from .superop import (
     transfer_matrix,
     vec,
 )
+from .tolerances import ROUNDING_TOL
 
 __all__ = [
     "FixedMeanParameters",
     "FixedCorrelationParameters",
     "ParameterReport",
-    "PARAMETER_TOL",
     "canonical_joint_basis",
     "fixed_mean_value_map",
     "fixed_correlation_map",
@@ -56,9 +56,6 @@ __all__ = [
     "heisenberg_means",
     "detect_parameters",
 ]
-
-PARAMETER_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class FixedMeanParameters:
@@ -113,7 +110,7 @@ class FixedCorrelationParameters:
 
 @dataclass(frozen=True)
 class ParameterReport:
-    """Index sets read off the transfer matrix at threshold 1e-12.
+    """Index sets read off the transfer matrix at threshold ROUNDING_TOL.
 
     fixed_mean_indices: pairs (mu, nu), nu >= 1, whose mean value enters the
     fixed-mean-value map. environment_mean_indices: the nu with (0, nu) a
@@ -220,7 +217,7 @@ def detect_parameters(tm: TransferMatrix) -> ParameterReport:
     """Read the parameter index sets off a transfer matrix.
 
     (mu, nu) with nu >= 1 is a parameter when any row (alpha 0), alpha >= 1,
-    has |t[(alpha 0), (mu nu)]| > 1e-12. The (0 0) row is a delta row and
+    has |t[(alpha 0), (mu nu)]| > ROUNDING_TOL. The (0 0) row is a delta row and
     never contributes.
     """
     n, m = tm.dims
@@ -230,7 +227,7 @@ def detect_parameters(tm: TransferMatrix) -> ParameterReport:
         (mu, nu)
         for mu in range(n**2)
         for nu in range(1, m**2)
-        if influence[mu, nu] > PARAMETER_TOL
+        if influence[mu, nu] > ROUNDING_TOL
     }
     return ParameterReport(
         dims=tm.dims,

@@ -19,14 +19,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .basis import HermitianBasis, JointBasis, _freeze
+from .tolerances import MAP_TOL, PSD_TOL, ROUNDING_TOL
 
 __all__ = [
     "DensityMatrix",
     "JointState",
     "MeanValueVector",
     "CorrelationTable",
-    "HERMITIAN_TOL",
-    "PSD_TOL",
     "joint_from_means",
     "means_from_matrix",
     "partial_trace_r",
@@ -34,10 +33,6 @@ __all__ = [
     "correlations",
     "mean_vector",
 ]
-
-HERMITIAN_TOL = 1e-12
-PSD_TOL = -1e-10
-
 
 def _as_real(values, what: str) -> np.ndarray:
     v = np.asarray(values)
@@ -53,8 +48,8 @@ def _as_real(values, what: str) -> np.ndarray:
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix.
 
-    Construction validates all three: Hermiticity and trace to 1e-12,
-    smallest eigenvalue >= -1e-10. Non-finite entries are rejected.
+    Construction validates all three: Hermiticity and trace to ROUNDING_TOL,
+    smallest eigenvalue >= PSD_TOL. Non-finite entries are rejected.
     """
 
     dim: int
@@ -66,9 +61,9 @@ class DensityMatrix:
             raise ValueError(f"matrix shape {m.shape} does not match dim {self.dim}")
         if not np.isfinite(m).all():
             raise ValueError("density matrix entries must be finite")
-        if np.abs(m - m.conj().T).max() > HERMITIAN_TOL:
+        if np.abs(m - m.conj().T).max() > ROUNDING_TOL:
             raise ValueError("density matrix must be Hermitian")
-        if abs(np.trace(m).real - 1.0) > HERMITIAN_TOL or abs(np.trace(m).imag) > HERMITIAN_TOL:
+        if abs(np.trace(m).real - 1.0) > ROUNDING_TOL or abs(np.trace(m).imag) > ROUNDING_TOL:
             raise ValueError(f"density matrix must have unit trace, got {np.trace(m)}")
         low = float(np.linalg.eigvalsh(m).min())
         if low < PSD_TOL:
@@ -90,7 +85,7 @@ class JointState:
             raise ValueError(
                 f"mean table has shape {t.shape}, expected {(n**2, m**2)}"
             )
-        if abs(t[0, 0] - 1.0) > HERMITIAN_TOL:
+        if abs(t[0, 0] - 1.0) > ROUNDING_TOL:
             raise ValueError(f"<F_00> must equal 1, got {t[0, 0]}")
         object.__setattr__(self, "means", _freeze(t))
 
@@ -166,7 +161,7 @@ def means_from_matrix(basis: JointBasis, matrix: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"matrix shape {matrix.shape} does not match joint dimension {n * m}"
         )
-    if np.abs(matrix - matrix.conj().T).max() > 1e-10:
+    if np.abs(matrix - matrix.conj().T).max() > MAP_TOL:
         raise ValueError("mean extraction expects a Hermitian matrix")
     return basis.traces(matrix).real
 

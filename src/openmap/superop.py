@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .basis import HermitianBasis, JointBasis, _freeze, build_basis
+from .tolerances import MAP_TOL, ROUNDING_TOL, UNITARY_TOL
 
 __all__ = [
     "SuperOperator",
@@ -34,7 +35,6 @@ __all__ = [
     "TransferMatrix",
     "MeanAffineMap",
     "MAP_KINDS",
-    "UNITARY_TOL",
     "check_unitary",
     "vec",
     "unvec",
@@ -53,8 +53,6 @@ __all__ = [
 ]
 
 MAP_KINDS = ("fixed-mean-value", "fixed-correlation", "plain")
-UNITARY_TOL = 1e-10
-_CHECK_TOL = 1e-10
 
 
 def check_unitary(u: np.ndarray, d: int) -> None:
@@ -133,22 +131,22 @@ def conjugation_superoperator(v: np.ndarray) -> SuperOperator:
     return SuperOperator(dim=n, rep=np.kron(v.conj(), v))
 
 
-def is_trace_preserving(s: SuperOperator, tol: float = _CHECK_TOL) -> bool:
+def is_trace_preserving(s: SuperOperator) -> bool:
     # Tr h(Q) = vec(1)^dag rep vec(Q) for all Q
     row = vec(np.eye(s.dim, dtype=complex)) @ s.rep
-    return bool(np.abs(row - vec(np.eye(s.dim))).max() <= tol)
+    return bool(np.abs(row - vec(np.eye(s.dim))).max() <= MAP_TOL)
 
 
-def is_hermiticity_preserving(s: SuperOperator, tol: float = _CHECK_TOL) -> bool:
+def is_hermiticity_preserving(s: SuperOperator) -> bool:
     # h(Q^dag)^dag = h(Q) <=> conj(rep[i+Nj, k+Nl]) = rep[j+Ni, l+Nk]
     n = s.dim
     r = np.reshape(s.rep, (n, n, n, n), order="F")
     # r[i, j, k, l] = rep[i + N*j, k + N*l]
-    return bool(np.abs(np.conj(np.transpose(r, (1, 0, 3, 2))) - r).max() <= tol)
+    return bool(np.abs(np.conj(np.transpose(r, (1, 0, 3, 2))) - r).max() <= MAP_TOL)
 
 
-def is_unital(s: SuperOperator, tol: float = _CHECK_TOL) -> bool:
-    return bool(np.abs(s(np.eye(s.dim, dtype=complex)) - np.eye(s.dim)).max() <= tol)
+def is_unital(s: SuperOperator) -> bool:
+    return bool(np.abs(s(np.eye(s.dim, dtype=complex)) - np.eye(s.dim)).max() <= MAP_TOL)
 
 
 @dataclass(frozen=True)
@@ -241,7 +239,7 @@ class TransferMatrix:
 def transfer_matrix(u: np.ndarray, basis: JointBasis) -> TransferMatrix:
     """t[(a b), (m n)] = Tr[F_{m n} U^dag F_{a b} U] / (N*M).
 
-    Rejects non-unitary input; the result satisfies t^T t = 1 to 1e-12 and
+    Rejects non-unitary input; the result satisfies t^T t = 1 to ROUNDING_TOL and
     its (0 0) row and column are delta rows, both consequences of the
     orthogonality of the basis under unitary conjugation.
     """
@@ -251,10 +249,10 @@ def transfer_matrix(u: np.ndarray, basis: JointBasis) -> TransferMatrix:
     conjugated = np.matmul(np.matmul(u.conj().T, basis.flat_elements), u)
     k = conjugated.shape[0]
     t = basis.traces(conjugated).reshape(k, k) / d
-    if not (np.abs(t.imag).max() <= 1e-12):
+    if not (np.abs(t.imag).max() <= ROUNDING_TOL):
         raise ValueError("transfer matrix should be real for a unitary input")
     t = np.ascontiguousarray(t.real)  # t.T @ t is slower on the strided .real view
-    if not (np.abs(t.T @ t - np.eye(k)).max() <= 1e-12):
+    if not (np.abs(t.T @ t - np.eye(k)).max() <= ROUNDING_TOL):
         raise ValueError("transfer matrix failed the orthogonality check")
     return TransferMatrix(basis=basis, t=t)
 
@@ -309,7 +307,7 @@ def mean_affine(m: AffineMap, basis: HermitianBasis | None = None) -> MeanAffine
         raise ValueError(f"basis dim {basis.dim} does not match map dim {m.dim}")
     if not is_hermiticity_preserving(m.homogeneous):
         raise ValueError("mean-value action requires a Hermiticity-preserving map")
-    if np.abs(m.offset - m.offset.conj().T).max() > _CHECK_TOL:
+    if np.abs(m.offset - m.offset.conj().T).max() > MAP_TOL:
         raise ValueError("mean-value action requires a Hermitian offset")
     n = m.dim
     # flat[a] @ vec(X) = Tr[F_a X], so traces[a, b] = Tr[F_a h(F_b)]

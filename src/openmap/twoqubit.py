@@ -39,6 +39,7 @@ from .mapgen import (
 )
 from .states import CorrelationTable, DensityMatrix, JointState
 from .superop import AffineMap, apply, mean_affine, transfer_matrix
+from .tolerances import ORACLE_TOL, ROUNDING_TOL
 
 __all__ = [
     "SIGMA_X",
@@ -65,8 +66,6 @@ _EYE2 = np.eye(2, dtype=complex)
 # gamma grid covering both signs of cos and the singular points pi/2, 3pi/2
 GAMMA_SWEEP = tuple(k * np.pi / 12 for k in range(25))
 XI3_SWEEP = (0.0, 0.3, -0.3, 0.7, -0.7, 1.0, -1.0)
-
-_DET_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ def _random_matrices(seed: int, count: int) -> list[np.ndarray]:
 
 
 def reproduce_fixed_mean(
-    scenario: TwoQubitScenario, tolerance: float = 1e-10, seed: int = 42
+    scenario: TwoQubitScenario, tolerance: float = ORACLE_TOL, seed: int = 42
 ) -> ScenarioReport:
     """Build the fixed-mean-value map from the unitary and compare every
     closed form: basis images, two-term operator-sum form, mean-value
@@ -189,7 +188,7 @@ def reproduce_fixed_mean(
     checks.append(_check("offset-matrix", np.abs(2 * m.offset - closed_two_k).max(), tolerance))
 
     report = invertibility(m)
-    if abs(c) > _DET_TOL:
+    if abs(c) > ROUNDING_TOL:
         inv = invert(m)
         closed_inv = [_EYE2, SIGMA_X / c, SIGMA_Y / c, SIGMA_Z]
         dev = max(
@@ -221,7 +220,7 @@ def reproduce_fixed_mean(
 
 
 def reproduce_fixed_corr(
-    scenario: TwoQubitScenario, tolerance: float = 1e-10, seed: int = 42
+    scenario: TwoQubitScenario, tolerance: float = ORACLE_TOL, seed: int = 42
 ) -> ScenarioReport:
     """Build the fixed-correlation map with rho_R = (1 + xi3 sz)/2 and
     compare: basis images, offset, mean-value action, the invertibility
@@ -263,7 +262,7 @@ def reproduce_fixed_corr(
     checks.append(_check("block-determinant", abs(block_det - det), tolerance))
 
     report = invertibility(m)
-    if det > _DET_TOL:
+    if det > ROUNDING_TOL:
         inv = invert(m)
         closed_inv = [
             _EYE2,
@@ -365,7 +364,7 @@ def disconnection_demo(
     gamma: float,
     initial_means,
     contrast_means=None,
-    tolerance: float = 1e-10,
+    tolerance: float = ORACLE_TOL,
 ) -> DisconnectionTranscript:
     """Round trip forward by U and back by its reverse.
 
