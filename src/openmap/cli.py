@@ -68,9 +68,9 @@ def default_tolerance() -> float:
     if raw is None:
         return ORACLE_TOL
     try:
-        return finite_number(raw)
+        return finite_non_negative(raw)
     except ValueError as exc:
-        raise CliInputError(f"OPENMAP_TOL is not a finite number: {raw!r}") from exc
+        raise CliInputError(f"OPENMAP_TOL is not a finite non-negative number: {raw!r}") from exc
 
 
 def matrix_to_json(matrix) -> dict:
@@ -121,6 +121,14 @@ def finite_number(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"not finite: {text!r}")
+    return value
+
+
+def finite_non_negative(text: str) -> float:
+    """argparse type: a finite float >= 0; argparse reports the ValueError with exit 2."""
+    value = finite_number(text)
+    if value < 0:
+        raise ValueError(f"negative: {text!r}")
     return value
 
 
@@ -388,7 +396,7 @@ def cmd_demo(args) -> int:
     else:
         scenario = _scenario(args, "xi3", "corr13", "corr23")
         report = reproduce_fixed_corr(scenario, tolerance=tol, seed=args.seed)
-        det = np.cos(args.gamma) ** 2 + args.xi3**2 * np.sin(args.gamma) ** 2
+        det = scenario.correlation_determinant
         doc = {
             **_fields(report),
             "max_deviation": report.max_deviation,
@@ -508,7 +516,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_demo.add_argument("--thorough", action="store_true", help="feasibility search (domain)")
     p_demo.add_argument("--csv", default=None, help="write the domain grid as CSV (domain)")
     p_demo.add_argument("--seed", type=non_negative_int, default=DEFAULT_SEED)
-    p_demo.add_argument("--tol", type=finite_number, default=None)
+    p_demo.add_argument("--tol", type=finite_non_negative, default=None)
 
     p_domain = command("domain", cmd_domain, "compatibility of one mean vector with params")
     p_domain.add_argument("--kind", choices=list(_KINDS), required=True)

@@ -155,14 +155,16 @@ def joint_from_means(basis: JointBasis, means: np.ndarray) -> JointState:
 
 
 def means_from_matrix(basis: JointBasis, matrix: np.ndarray) -> np.ndarray:
-    """Mean table <F_{mu nu}> = Tr[F_{mu nu} Pi] of a Hermitian matrix."""
+    """Mean table <F_{mu nu}> = Tr[F_{mu nu} Pi] of a finite Hermitian matrix."""
     n, m = basis.dims
     if matrix.shape != (n * m, n * m):
         raise ValueError(
             f"matrix shape {matrix.shape} does not match joint dimension {n * m}"
         )
-    if np.abs(matrix - matrix.conj().T).max() > MAP_TOL:
-        raise ValueError("mean extraction expects a Hermitian matrix")
+    with np.errstate(invalid="ignore"):
+        dev = np.abs(matrix - matrix.conj().T).max()
+    if not (dev <= MAP_TOL):
+        raise ValueError("mean extraction expects a finite Hermitian matrix")
     return basis.traces(matrix).real
 
 

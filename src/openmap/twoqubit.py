@@ -35,7 +35,6 @@ from .mapgen import (
     FixedMeanParameters,
     fixed_correlation_map,
     fixed_mean_value_map,
-    heisenberg_means,
 )
 from .states import CorrelationTable, DensityMatrix, JointState
 from .superop import AffineMap, apply, mean_affine, transfer_matrix
@@ -88,6 +87,11 @@ class TwoQubitScenario:
     def __post_init__(self) -> None:
         if abs(self.xi3) > 1.0:
             raise ValueError(f"partner polarization must lie in [-1, 1], got {self.xi3}")
+
+    @property
+    def correlation_determinant(self) -> float:
+        """cos^2 g + xi3^2 sin^2 g, the fixed-correlation block determinant."""
+        return np.cos(self.gamma) ** 2 + self.xi3**2 * np.sin(self.gamma) ** 2
 
     def fixed_mean_parameters(self) -> FixedMeanParameters:
         """<s2 (x) sz> and <s1 (x) sz> fixed at mean_s2x3 and mean_s1x3."""
@@ -187,7 +191,6 @@ def reproduce_fixed_mean(
     closed_two_k = (-a * SIGMA_X + b * SIGMA_Y) * s
     checks.append(_check("offset-matrix", np.abs(2 * m.offset - closed_two_k).max(), tolerance))
 
-    report = invertibility(m)
     if abs(c) > ROUNDING_TOL:
         inv = invert(m)
         closed_inv = [_EYE2, SIGMA_X / c, SIGMA_Y / c, SIGMA_Z]
@@ -208,6 +211,7 @@ def reproduce_fixed_mean(
         )
         checks.append(_check("inverse-difference-form", dev, tolerance))
     else:
+        report = invertibility(m)
         dev = abs(float(report.invertible)) + abs(report.kernel_dimension - 2)
         checks.append(_check("singular-verdict", dev, tolerance))
 
@@ -257,11 +261,10 @@ def reproduce_fixed_corr(
     dev = max(np.abs(mv.matrix - closed_matrix).max(), np.abs(mv.shift - closed_shift).max())
     checks.append(_check("mean-value-map", dev, tolerance))
 
-    det = c**2 + x**2 * s**2
+    det = scenario.correlation_determinant
     block_det = float(np.linalg.det(mv.matrix[:2, :2]))
     checks.append(_check("block-determinant", abs(block_det - det), tolerance))
 
-    report = invertibility(m)
     if det > ROUNDING_TOL:
         inv = invert(m)
         closed_inv = [
@@ -285,7 +288,7 @@ def reproduce_fixed_corr(
             dev = max(dev, abs(out[0] ** 2 + out[1] ** 2 - (v[0] ** 2 + v[1] ** 2) / det))
         checks.append(_check("inverse-square-identity", dev, tolerance))
     else:
-        checks.append(_check("singular-verdict", float(report.invertible), tolerance))
+        checks.append(_check("singular-verdict", float(invertibility(m).invertible), tolerance))
 
     # output at the +z pole: (1/2)[1 + sz + c13 sy sin g - c23 sx sin g]
     pole = (_EYE2 + SIGMA_Z) / 2
@@ -345,10 +348,8 @@ def _backward_leg(
     table[0, 0] = 1.0
     table[1:, 0] = means
     state = JointState(basis=jb, means=table)
-    forward = heisenberg_means(u, state).components
-
-    tm = transfer_matrix(u, jb)
-    evolved = (tm.t @ table.reshape(-1)).reshape(4, 4)
+    evolved = (transfer_matrix(u, jb).t @ state.means.reshape(-1)).reshape(4, 4)
+    forward = evolved[1:, 0]  # the system means <F_{alpha 0}> after the interval
     a_evolved = float(evolved[2, 3])  # <s2 (x) sz> after the interval
     b_evolved = float(evolved[1, 3])  # <s1 (x) sz> after the interval
 

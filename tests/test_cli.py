@@ -550,10 +550,13 @@ def test_non_finite_vector_options_exit_2(tmp_path, capsys, argv):
         (["demo", "domain", "--grid", "0"], None),
         (["demo", "fixed-mean", "--tol", "nan"], None),
         (["demo", "fixed-mean"], "nan"),
+        (["demo", "fixed-mean", "--tol", "-1"], None),
+        (["demo", "fixed-mean"], "-1"),
     ],
     ids=[
         "gamma-nan", "mean-s2x3-inf", "xi3-nan", "corr23-inf", "corr13-nan",
         "mean-s1x3-nan", "grid-negative", "grid-zero", "tol-nan", "env-tol-nan",
+        "tol-negative", "env-tol-negative",
     ],
 )
 def test_non_finite_scenario_numbers_exit_2(tmp_path, capsys, monkeypatch, argv, env_tol):

@@ -207,3 +207,14 @@ def test_means_from_matrix_rejects_non_hermitian():
     q[0, 1] = 1.0
     with pytest.raises(ValueError):
         means_from_matrix(jb, q)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_means_from_matrix_rejects_non_finite(bad):
+    jb = _jb(2, 2)
+    with pytest.raises(ValueError, match="finite Hermitian"):
+        means_from_matrix(jb, np.full((4, 4), bad))
+    diagonal = np.eye(4, dtype=complex) / 4
+    diagonal[1, 1] = bad  # Hermitian in form, but not finite
+    with pytest.raises(ValueError, match="finite Hermitian"):
+        means_from_matrix(jb, diagonal)
