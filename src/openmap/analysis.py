@@ -40,7 +40,7 @@ from .superop import (
     mean_affine,
     vec,
 )
-from .tolerances import PSD_TOL, RANK_TOL
+from .tolerances import MAP_TOL, PSD_TOL, RANK_TOL
 
 __all__ = [
     "InvertibilityReport",
@@ -169,14 +169,20 @@ def invertibility(m: AffineMap, basis: HermitianBasis | None = None) -> Invertib
 def invert(m: AffineMap) -> AffineMap:
     """Exact affine inverse: h^{-1} and offset -h^{-1}(offset), kind "plain".
 
-    Raises SingularMapError (carrying the report) when any criterion fails.
+    That form is the inverse only when h is trace-preserving and the offset is
+    traceless (then Tr[m(Q)] = Tr[Q]), as for both families mapgen builds.
+    After the three criteria run, raises SingularMapError (carrying the
+    report) when any criterion fails, and ValueError when h is not
+    trace-preserving or |Tr offset| > MAP_TOL.
     """
     report = invertibility(m)
     if not report.invertible:
         raise SingularMapError(report)
-    n = m.dim
-    inv_rep = np.linalg.inv(m.homogeneous.rep)
-    inv_h = SuperOperator(dim=n, rep=inv_rep)
+    if not is_trace_preserving(m.homogeneous) or abs(np.trace(m.offset)) > MAP_TOL:
+        raise ValueError(
+            "invert needs a trace-preserving homogeneous part and a traceless offset"
+        )
+    inv_h = SuperOperator(dim=m.dim, rep=np.linalg.inv(m.homogeneous.rep))
     return AffineMap(homogeneous=inv_h, offset=-inv_h(m.offset), kind="plain")
 
 

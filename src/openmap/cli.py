@@ -365,6 +365,14 @@ def _parse_vector(text: str, what: str) -> np.ndarray:
     return v
 
 
+def _bloch_option(text: str, what: str) -> np.ndarray:
+    """A --bloch or --contrast vector; any length but 3 is an input error."""
+    v = _parse_vector(text, what)
+    if v.shape != (3,):
+        raise CliInputError(f"{what} must have 3 entries, got {v.size}")
+    return v
+
+
 def _scenario(args, *names: str) -> TwoQubitScenario:
     """The scenario at --gamma with the named flags; out of range is exit 3."""
     try:
@@ -378,12 +386,12 @@ def cmd_demo(args) -> int:
     if args.name == "domain":
         return _demo_domain(args)
     if args.name == "disconnect":
-        bloch = _parse_vector(args.bloch, "--bloch")
-        contrast = _parse_vector(args.contrast, "--contrast") if args.contrast else None
+        bloch = _bloch_option(args.bloch, "--bloch")
+        contrast = _bloch_option(args.contrast, "--contrast") if args.contrast else None
         try:
             report = disconnection_demo(args.gamma, bloch, contrast, tolerance=tol)
-        except ValueError as exc:
-            raise CliInputError(str(exc)) from exc
+        except ValueError as exc:  # a vector outside the Bloch ball
+            raise CliPreconditionError(str(exc)) from exc
         doc = _fields(report)
         contrast_leg = doc.pop("contrast")
         doc["ok"] = report.ok

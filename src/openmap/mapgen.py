@@ -201,16 +201,20 @@ def unitalize(s: SuperOperator) -> SuperOperator:
     return SuperOperator(dim=n, rep=s.rep - correction)
 
 
+def _system_rows(tm: TransferMatrix) -> np.ndarray:
+    """Rows (alpha 0), alpha >= 1: t reshaped to (N^2, M^2, N^2 M^2), then [1:, 0]."""
+    n, m = tm.dims
+    return tm.t.reshape(n**2, m**2, -1)[1:, 0]
+
+
 def heisenberg_means(u: np.ndarray, state: JointState) -> MeanValueVector:
     """System mean values after the joint unitary, straight from the table.
 
     <F_{alpha 0}>' = sum_{mu nu} t[(alpha 0), (mu nu)] <F_{mu nu}>.
     """
     tm = transfer_matrix(u, state.basis)
-    n = state.basis.basis_s.dim
-    flat = state.means.reshape(-1)
-    comps = np.array([tm.row(alpha, 0) @ flat for alpha in range(1, n**2)])
-    return MeanValueVector(dim=n, components=comps)
+    comps = _system_rows(tm) @ state.means.reshape(-1)
+    return MeanValueVector(dim=tm.dims[0], components=comps)
 
 
 def detect_parameters(tm: TransferMatrix) -> ParameterReport:
@@ -221,14 +225,9 @@ def detect_parameters(tm: TransferMatrix) -> ParameterReport:
     never contributes.
     """
     n, m = tm.dims
-    rows = np.stack([tm.row(alpha, 0) for alpha in range(1, n**2)])
-    influence = np.abs(rows).max(axis=0).reshape(n**2, m**2)
-    mean_idx = {
-        (mu, nu)
-        for mu in range(n**2)
-        for nu in range(1, m**2)
-        if influence[mu, nu] > ROUNDING_TOL
-    }
+    influence = np.abs(_system_rows(tm)).max(axis=0).reshape(n**2, m**2)
+    mu, nu = np.nonzero(influence[:, 1:] > ROUNDING_TOL)
+    mean_idx = set(zip(mu.tolist(), (nu + 1).tolist()))
     return ParameterReport(
         dims=tm.dims,
         fixed_mean_indices=frozenset(mean_idx),

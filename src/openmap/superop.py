@@ -194,23 +194,17 @@ def identity_map(dim: int) -> AffineMap:
 def compose(a: AffineMap, b: AffineMap) -> AffineMap:
     """Affine map equal to Q -> a(b(Q)), exact for arbitrary a and b.
 
-    When b's homogeneous part is trace-preserving the composite rep is the
-    matrix product; otherwise Tr[b.homogeneous(Q)] depends on Q and the
-    trace functional is folded into the rep as a rank-1 update.
+    a.offset * Tr[b(Q)] splits into (1 + Tr[b.offset]) a.offset Tr[Q], kept in
+    the offset, and a.offset (Tr[b.homogeneous(Q)] - Tr[Q]), a rank-1 term of
+    the rep that is zero when b's homogeneous part is trace-preserving.
     """
     if a.dim != b.dim:
         raise ValueError(f"cannot compose maps of dimensions {a.dim} and {b.dim}")
-    n = a.dim
-    rep = a.homogeneous.rep @ b.homogeneous.rep
-    off_through = a.homogeneous(b.offset)
-    tr_b_off = np.trace(b.offset)
-    if is_trace_preserving(b.homogeneous):
-        offset = off_through + (1.0 + tr_b_off) * a.offset
-    else:
-        trace_row = vec(np.eye(n, dtype=complex)) @ b.homogeneous.rep
-        rep = rep + np.outer(vec(a.offset), trace_row)
-        offset = off_through + tr_b_off * a.offset
-    return AffineMap(homogeneous=SuperOperator(dim=n, rep=rep), offset=offset, kind="plain")
+    one = vec(np.eye(a.dim))
+    b_rep = b.homogeneous.rep
+    rep = a.homogeneous.rep @ b_rep + np.outer(vec(a.offset), one @ b_rep - one)
+    offset = a.homogeneous(b.offset) + (1.0 + np.trace(b.offset)) * a.offset
+    return AffineMap(homogeneous=SuperOperator(dim=a.dim, rep=rep), offset=offset, kind="plain")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .mapgen import (
     fixed_mean_value_map,
 )
 from .states import CorrelationTable, DensityMatrix, JointState
-from .superop import AffineMap, apply, mean_affine, transfer_matrix
+from .superop import AffineMap, SuperOperator, apply, mean_affine, transfer_matrix
 from .tolerances import ORACLE_TOL, ROUNDING_TOL
 
 __all__ = [
@@ -57,10 +57,9 @@ __all__ = [
     "disconnection_demo",
 ]
 
-SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
-_EYE2 = np.eye(2, dtype=complex)
+# build_basis(2) is the Pauli family, identity first, bit for bit
+_PAULI = build_basis(2).elements
+_EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z = _PAULI
 
 # gamma grid covering both signs of cos and the singular points pi/2, 3pi/2
 GAMMA_SWEEP = tuple(k * np.pi / 12 for k in range(25))
@@ -85,8 +84,11 @@ class TwoQubitScenario:
     mean_s1x3: float = 0.0
 
     def __post_init__(self) -> None:
-        if abs(self.xi3) > 1.0:
-            raise ValueError(f"partner polarization must lie in [-1, 1], got {self.xi3}")
+        # means and covariances of +-1-valued Pauli observables and their products
+        for name in ("xi3", "corr13", "corr23", "mean_s2x3", "mean_s1x3"):
+            value = getattr(self, name)
+            if not abs(value) <= 1.0 + ROUNDING_TOL:
+                raise ValueError(f"{name} must lie in [-1, 1], got {value}")
 
     @property
     def correlation_determinant(self) -> float:
@@ -144,8 +146,19 @@ def two_qubit_unitary(gamma: float) -> np.ndarray:
     return np.diag([lo, hi, hi, lo]).astype(complex)
 
 
-def _check(name: str, deviation: float, tol: float) -> CheckResult:
-    return CheckResult(name=name, deviation=float(deviation), passed=bool(deviation <= tol))
+def _check(name: str, computed, closed_form, tol: float) -> CheckResult:
+    """max |computed - closed_form| over equally shaped arrays, or lists of
+    them; a NaN deviation fails."""
+    if not isinstance(computed, list):
+        computed, closed_form = [computed], [closed_form]
+    pairs = zip(computed, closed_form, strict=True)
+    deviation = float(np.max([np.abs(np.subtract(c, f)).max() for c, f in pairs]))
+    return CheckResult(name=name, deviation=deviation, passed=bool(deviation <= tol))
+
+
+def _images(s: SuperOperator) -> list[np.ndarray]:
+    """s(1), s(sx), s(sy), s(sz)."""
+    return [s(f) for f in _PAULI]
 
 
 def _random_matrices(seed: int, count: int) -> list[np.ndarray]:
@@ -163,64 +176,38 @@ def reproduce_fixed_mean(
     """
     g = scenario.gamma
     c, s = np.cos(g), np.sin(g)
-    a, b = scenario.mean_s2x3, scenario.mean_s1x3
-    u = two_qubit_unitary(g)
-    m = fixed_mean_value_map(u, scenario.fixed_mean_parameters())
-    checks = []
-
-    closed_images = [_EYE2, c * SIGMA_X, c * SIGMA_Y, SIGMA_Z]
-    dev = max(
-        np.abs(m.homogeneous(f) - img).max()
-        for f, img in zip([_EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z], closed_images)
-    )
-    checks.append(_check("homogeneous-basis-images", dev, tolerance))
-
     ch, sh = np.cos(g / 2), np.sin(g / 2)
-    dev = max(
-        np.abs(m.homogeneous(q) - (ch**2 * q + sh**2 * (SIGMA_Z @ q @ SIGMA_Z))).max()
-        for q in _random_matrices(seed, 20)
-    )
-    checks.append(_check("operator-sum-form", dev, tolerance))
-
+    a, b = scenario.mean_s2x3, scenario.mean_s1x3
+    m = fixed_mean_value_map(two_qubit_unitary(g), scenario.fixed_mean_parameters())
     mv = mean_affine(m)
-    closed_matrix = np.diag([c, c, 1.0])
-    closed_shift = np.array([-a * s, b * s, 0.0])
-    dev = max(np.abs(mv.matrix - closed_matrix).max(), np.abs(mv.shift - closed_shift).max())
-    checks.append(_check("mean-value-map", dev, tolerance))
-
-    closed_two_k = (-a * SIGMA_X + b * SIGMA_Y) * s
-    checks.append(_check("offset-matrix", np.abs(2 * m.offset - closed_two_k).max(), tolerance))
-
+    qs = _random_matrices(seed, 20)
+    triples = [
+        ("homogeneous-basis-images", _images(m.homogeneous),
+         [_EYE2, c * SIGMA_X, c * SIGMA_Y, SIGMA_Z]),
+        ("operator-sum-form", [m.homogeneous(q) for q in qs],
+         [ch**2 * q + sh**2 * (SIGMA_Z @ q @ SIGMA_Z) for q in qs]),
+        ("mean-value-map", [mv.matrix, mv.shift],
+         [np.diag([c, c, 1.0]), np.array([-a * s, b * s, 0.0])]),
+        ("offset-matrix", 2 * m.offset, (-a * SIGMA_X + b * SIGMA_Y) * s),
+    ]
     if abs(c) > ROUNDING_TOL:
         inv = invert(m)
-        closed_inv = [_EYE2, SIGMA_X / c, SIGMA_Y / c, SIGMA_Z]
-        dev = max(
-            np.abs(inv.homogeneous(f) - img).max()
-            for f, img in zip([_EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z], closed_inv)
-        )
-        checks.append(_check("inverse-basis-images", dev, tolerance))
-        # two-term difference form of the inverse, sign split on cos gamma
-        sign = 1.0 if c > 0 else -1.0
-        w = abs(c)
-        dev = max(
-            np.abs(
-                inv.homogeneous(q)
-                - sign * (ch**2 * q - sh**2 * (SIGMA_Z @ q @ SIGMA_Z)) / w
-            ).max()
-            for q in _random_matrices(seed + 1, 20)
-        )
-        checks.append(_check("inverse-difference-form", dev, tolerance))
+        sign, w = (1.0 if c > 0 else -1.0), abs(c)
+        qs = _random_matrices(seed + 1, 20)
+        triples += [
+            ("inverse-basis-images", _images(inv.homogeneous),
+             [_EYE2, SIGMA_X / c, SIGMA_Y / c, SIGMA_Z]),
+            # two-term difference form of the inverse, sign split on cos gamma
+            ("inverse-difference-form", [inv.homogeneous(q) for q in qs],
+             [sign * (ch**2 * q - sh**2 * (SIGMA_Z @ q @ SIGMA_Z)) / w for q in qs]),
+        ]
     else:
         report = invertibility(m)
-        dev = abs(float(report.invertible)) + abs(report.kernel_dimension - 2)
-        checks.append(_check("singular-verdict", dev, tolerance))
-
-    return ScenarioReport(
-        label="fixed-mean-value",
-        scenario=scenario,
-        tolerance=tolerance,
-        checks=tuple(checks),
-    )
+        triples.append(
+            ("singular-verdict", [float(report.invertible), report.kernel_dimension], [0.0, 2])
+        )
+    checks = tuple(_check(*t, tolerance) for t in triples)
+    return ScenarioReport("fixed-mean-value", scenario, tolerance, checks)
 
 
 def reproduce_fixed_corr(
@@ -236,73 +223,38 @@ def reproduce_fixed_corr(
     c, s = np.cos(g), np.sin(g)
     x = scenario.xi3
     c13, c23 = scenario.corr13, scenario.corr23
-    u = two_qubit_unitary(g)
-    m = fixed_correlation_map(u, scenario.fixed_correlation_parameters())
-    checks = []
-
-    closed_images = [
-        _EYE2,
-        c * SIGMA_X + x * s * SIGMA_Y,
-        c * SIGMA_Y - x * s * SIGMA_X,
-        SIGMA_Z,
-    ]
-    dev = max(
-        np.abs(m.homogeneous(f) - img).max()
-        for f, img in zip([_EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z], closed_images)
-    )
-    checks.append(_check("homogeneous-basis-images", dev, tolerance))
-
-    closed_offset = 0.5 * (c13 * SIGMA_Y - c23 * SIGMA_X) * s
-    checks.append(_check("offset-matrix", np.abs(m.offset - closed_offset).max(), tolerance))
-
+    m = fixed_correlation_map(two_qubit_unitary(g), scenario.fixed_correlation_parameters())
     mv = mean_affine(m)
-    closed_matrix = np.array([[c, -x * s, 0.0], [x * s, c, 0.0], [0.0, 0.0, 1.0]])
-    closed_shift = np.array([-c23 * s, c13 * s, 0.0])
-    dev = max(np.abs(mv.matrix - closed_matrix).max(), np.abs(mv.shift - closed_shift).max())
-    checks.append(_check("mean-value-map", dev, tolerance))
-
     det = scenario.correlation_determinant
-    block_det = float(np.linalg.det(mv.matrix[:2, :2]))
-    checks.append(_check("block-determinant", abs(block_det - det), tolerance))
-
+    triples = [
+        ("homogeneous-basis-images", _images(m.homogeneous),
+         [_EYE2, c * SIGMA_X + x * s * SIGMA_Y, c * SIGMA_Y - x * s * SIGMA_X, SIGMA_Z]),
+        ("offset-matrix", m.offset, 0.5 * (c13 * SIGMA_Y - c23 * SIGMA_X) * s),
+        ("mean-value-map", [mv.matrix, mv.shift],
+         [np.array([[c, -x * s, 0.0], [x * s, c, 0.0], [0.0, 0.0, 1.0]]),
+          np.array([-c23 * s, c13 * s, 0.0])]),
+        ("block-determinant", float(np.linalg.det(mv.matrix[:2, :2])), det),
+    ]
     if det > ROUNDING_TOL:
         inv = invert(m)
-        closed_inv = [
-            _EYE2,
-            (c * SIGMA_X - x * s * SIGMA_Y) / det,
-            (c * SIGMA_Y + x * s * SIGMA_X) / det,
-            SIGMA_Z,
-        ]
-        dev = max(
-            np.abs(inv.homogeneous(f) - img).max()
-            for f, img in zip([_EYE2, SIGMA_X, SIGMA_Y, SIGMA_Z], closed_inv)
-        )
-        checks.append(_check("inverse-basis-images", dev, tolerance))
-
         inv_mv = mean_affine(AffineMap(inv.homogeneous, np.zeros((2, 2)), "plain"))
-        rng = np.random.default_rng(seed)
-        dev = 0.0
-        for _ in range(20):
-            v = rng.uniform(-1.0, 1.0, size=3)
-            out = inv_mv(v)
-            dev = max(dev, abs(out[0] ** 2 + out[1] ** 2 - (v[0] ** 2 + v[1] ** 2) / det))
-        checks.append(_check("inverse-square-identity", dev, tolerance))
+        vs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(20, 3))
+        outs = np.array([inv_mv(v) for v in vs])
+        triples += [
+            ("inverse-basis-images", _images(inv.homogeneous),
+             [_EYE2, (c * SIGMA_X - x * s * SIGMA_Y) / det,
+              (c * SIGMA_Y + x * s * SIGMA_X) / det, SIGMA_Z]),
+            ("inverse-square-identity", outs[:, 0] ** 2 + outs[:, 1] ** 2,
+             (vs[:, 0] ** 2 + vs[:, 1] ** 2) / det),
+        ]
     else:
-        checks.append(_check("singular-verdict", float(invertibility(m).invertible), tolerance))
-
+        triples.append(("singular-verdict", float(invertibility(m).invertible), 0.0))
     # output at the +z pole: (1/2)[1 + sz + c13 sy sin g - c23 sx sin g]
-    pole = (_EYE2 + SIGMA_Z) / 2
-    out = apply(m, pole)
+    out = apply(m, (_EYE2 + SIGMA_Z) / 2)
     closed_min_eig = 0.5 * (1.0 - np.sqrt(1.0 + (c13 * s) ** 2 + (c23 * s) ** 2))
-    dev = abs(float(np.linalg.eigvalsh(out).min()) - closed_min_eig)
-    checks.append(_check("positivity-boundary", dev, tolerance))
-
-    return ScenarioReport(
-        label="fixed-correlation",
-        scenario=scenario,
-        tolerance=tolerance,
-        checks=tuple(checks),
-    )
+    triples.append(("positivity-boundary", np.linalg.eigvalsh(out).min(), closed_min_eig))
+    checks = tuple(_check(*t, tolerance) for t in triples)
+    return ScenarioReport("fixed-correlation", scenario, tolerance, checks)
 
 
 @dataclass(frozen=True)
@@ -361,6 +313,18 @@ def _backward_leg(
     return forward, a_evolved, b_evolved, back.offset, returned
 
 
+def _bloch_vector(means, what: str) -> np.ndarray:
+    """means as a 3-vector of floats; a shape error or a norm above 1 is a ValueError."""
+    v = np.asarray(means, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"{what} means must be a 3-vector, got shape {v.shape}")
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if not norm <= 1.0 + ROUNDING_TOL:
+        raise ValueError(f"{what} means have norm {norm!r}, outside the Bloch ball")
+    return v
+
+
 def disconnection_demo(
     gamma: float,
     initial_means,
@@ -376,48 +340,31 @@ def disconnection_demo(
     means; it returns the initial mean values exactly, but its offset
     depends on them, so backward maps for different initial states are
     different maps. contrast_means (default: the initial vector rotated a
-    quarter turn about z) exhibits that difference.
+    quarter turn about z) exhibits that difference. Both vectors must lie
+    in the Bloch ball.
     """
-    v = np.asarray(initial_means, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"initial means must be a 3-vector, got shape {v.shape}")
+    v = _bloch_vector(initial_means, "initial")
+    if contrast_means is None:
+        contrast_means = np.array([-v[1], v[0], v[2]])
+    w = _bloch_vector(contrast_means, "contrast")
     s = np.sin(gamma)
     forward, a_ev, b_ev, offset, returned = _backward_leg(gamma, v)
 
-    checks = []
-    checks.append(
-        _check(
-            "evolved-parameters",
-            max(abs(a_ev - v[0] * s), abs(b_ev - (-v[1] * s))),
-            tolerance,
-        )
-    )
-    closed_offset = 0.5 * s**2 * (v[0] * SIGMA_X + v[1] * SIGMA_Y)
-    checks.append(_check("backward-offset", np.abs(offset - closed_offset).max(), tolerance))
-    round_trip = float(np.abs(returned - v).max())
-    checks.append(_check("round-trip", round_trip, tolerance))
-
+    triples = [
+        ("evolved-parameters", [a_ev, b_ev], [v[0] * s, -v[1] * s]),
+        ("backward-offset", offset, 0.5 * s**2 * (v[0] * SIGMA_X + v[1] * SIGMA_Y)),
+        ("round-trip", returned, v),
+    ]
     contrast = None
-    if contrast_means is None:
-        contrast_means = np.array([-v[1], v[0], v[2]])
-    w = np.asarray(contrast_means, dtype=float)
-    if w.shape != (3,):
-        raise ValueError(f"contrast means must be a 3-vector, got shape {w.shape}")
     if np.abs(w - v).max() > 0:
         _, _, _, contrast_offset, contrast_returned = _backward_leg(gamma, w)
-        checks.append(
-            _check(
-                "contrast-round-trip",
-                float(np.abs(contrast_returned - w).max()),
-                tolerance,
-            )
-        )
+        triples.append(("contrast-round-trip", contrast_returned, w))
         contrast = ContrastLeg(
             initial_means=w,
             backward_offset=contrast_offset,
             offset_difference=float(np.linalg.norm(offset - contrast_offset)),
         )
-
+    checks = tuple(_check(*t, tolerance) for t in triples)
     return DisconnectionTranscript(
         gamma=float(gamma),
         initial_means=v,
@@ -426,7 +373,7 @@ def disconnection_demo(
         evolved_mean_s1x3=b_ev,
         backward_offset=offset,
         returned_means=returned,
-        round_trip_deviation=round_trip,
-        checks=tuple(checks),
+        round_trip_deviation=checks[2].deviation,
+        checks=checks,
         contrast=contrast,
     )

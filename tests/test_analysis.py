@@ -337,3 +337,23 @@ def test_realizability_stability_under_noise():
             m.kind,
         )
         assert dynamics_realizability(wobbled).verdict == want
+
+
+def _not_trace_preserving(case):
+    from openmap import SuperOperator
+
+    if case == "h-not-trace-preserving":  # h = 2 * 1, traceless offset: Tr m(Q) = 2 Tr Q
+        return AffineMap(SuperOperator(2, 2.0 * np.eye(4)), 0.3 * SX, "plain")
+    # unitary conjugation with offset 1/4: Tr m(Q) = 1.5 Tr Q
+    u = random_unitary(np.random.default_rng(5), 2)
+    return AffineMap(conjugation_superoperator(u), np.eye(2) / 4, "plain")
+
+
+@pytest.mark.parametrize("case", ["h-not-trace-preserving", "offset-with-trace"])
+def test_invert_refuses_maps_that_do_not_preserve_trace(case):
+    # both pass the three criteria, but -h^{-1}(offset) is not their inverse's offset
+    m = _not_trace_preserving(case)
+    assert invertibility(m).invertible
+    with pytest.raises(ValueError, match="trace-preserving") as err:
+        invert(m)
+    assert not isinstance(err.value, SingularMapError)

@@ -604,3 +604,56 @@ def test_demo_domain_xi3_out_of_range_exits_3(tmp_path, capsys, monkeypatch):
     assert rc == 3
     assert "precondition" in err
     assert out == "" and not out_file.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo", "disconnect", "--bloch", "0.6,0.8,0.1"],
+        ["demo", "disconnect", "--contrast", "0,1.5,0"],
+        ["demo", "fixed-mean", "--mean-s2x3", "1.1"],
+        ["demo", "fixed-mean", "--mean-s1x3", "-2"],
+        ["demo", "fixed-corr", "--corr13", "1.01"],
+        ["demo", "fixed-corr", "--corr23", "-1.01"],
+        ["demo", "domain", "--corr13", "3"],
+    ],
+    ids=["bloch", "contrast", "mean-s2x3", "mean-s1x3", "corr13", "corr23", "domain-corr13"],
+)
+def test_demo_magnitudes_above_one_exit_3_without_output(tmp_path, capsys, argv):
+    out_file = tmp_path / "out.json"
+    rc, out, err = _run(capsys, argv + ["--out", str(out_file)])
+    assert rc == 3
+    assert "precondition" in err
+    assert out == "" and not out_file.exists()
+
+
+def test_demo_magnitudes_at_one_run(capsys):
+    rc, _, _ = _run(capsys, ["demo", "disconnect", "--bloch", "0.6,0.8,0", "--contrast", "0,0,1"])
+    assert rc == 0
+    rc, _, _ = _run(capsys, ["demo", "fixed-corr", "--corr13", "1", "--corr23", "-1"])
+    assert rc == 0
+
+
+def test_demo_contrast_wrong_length_exits_2(capsys):
+    rc, _, err = _run(capsys, ["demo", "disconnect", "--contrast", "0,1,0,0"])
+    assert rc == 2
+    assert "3 entries" in err
+
+
+def test_invert_map_that_does_not_preserve_trace_exits_3_without_output(tmp_path, capsys):
+    # h = 2 * 1 passes the three criteria, but h^{-1} with -h^{-1}(offset) is not the inverse
+    m = AffineMap(SuperOperator(2, 2.0 * np.eye(4)), 0.3 * SX, "plain")
+    f, out_file = _write_map(tmp_path / "m.json", m), tmp_path / "inv.json"
+    rc, out, err = _run(capsys, ["invert", f, "--out", str(out_file)])
+    assert rc == 3
+    assert "precondition failure" in err and "trace-preserving" in err
+    assert out == "" and not out_file.exists()
+
+
+def test_to_json_writes_non_finite_array_entries_as_null():
+    from openmap.cli import to_json
+
+    assert to_json(np.array([1.0, np.inf, -np.inf, np.nan])) == [1.0, None, None, None]
+    doc = to_json(np.array([[complex(1.0, np.nan), np.inf]]))
+    assert doc == {"rows": [[[1.0, None], [None, 0.0]]]}
+    assert json.dumps(doc, allow_nan=False)

@@ -360,3 +360,29 @@ def test_maps_reject_non_finite_unitary(bad):
         fixed_mean_value_map(u, FixedMeanParameters((2, 2), {(1, 3): 0.2}))
     with pytest.raises(ValueError, match="not unitary"):
         fixed_correlation_map(u, corr)
+
+
+def test_detect_parameters_matches_row_by_row_reading():
+    # seeded (2,8) unitaries: Haar (every pair enters) and diagonal sz (x) h
+    # couplings (only the diagonal partner observables enter)
+    rng = np.random.default_rng(163)
+    jb = canonical_joint_basis((2, 8))
+    for k in range(6):
+        if k % 2:
+            u = np.diag(np.exp(-1j * np.kron([1.0, -1.0], rng.normal(size=8))))
+        else:
+            u = random_unitary(rng, 16)
+        tm = transfer_matrix(u, jb)
+        want = {
+            (mu, nu)
+            for mu in range(4)
+            for nu in range(1, 64)
+            if max(abs(tm.row(alpha, 0)[jb.flat_index(mu, nu)]) for alpha in range(1, 4)) > 1e-12
+        }
+        report = detect_parameters(tm)
+        assert report.fixed_mean_indices == want
+        assert report.environment_mean_indices == {nu for mu, nu in want if mu == 0}
+        assert report.correlation_indices == {(mu, nu) for mu, nu in want if mu >= 1}
+        assert all(type(i) is int for pair in report.fixed_mean_indices for i in pair)
+        if k % 2:
+            assert 0 < len(want) < 4 * 63

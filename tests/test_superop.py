@@ -345,3 +345,28 @@ def test_batched_images_and_mean_affine_match_per_element(dim, seed):
     ma = mean_affine(m, basis)
     assert np.max(np.abs(ma.matrix - matrix), initial=0.0) < 1e-13
     assert np.max(np.abs(ma.shift - shift), initial=0.0) < 1e-13
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 4]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    b_kind=st.sampled_from(["random", "tp", "near-tp"]),
+    wobble=st.floats(min_value=0.0, max_value=1e-10),
+)
+def test_compose_property_matches_pointwise_application(n, seed, b_kind, wobble):
+    # one code path for every b: non-TP, exactly TP, and TP perturbed by <= 1e-10
+    rng = np.random.default_rng(seed)
+    a = _random_affine(rng, n)
+    if b_kind == "random":
+        b = _random_affine(rng, n)
+    else:
+        rep = conjugation_superoperator(random_unitary(rng, n)).rep
+        if b_kind == "near-tp":
+            rep = rep + wobble * (2 * rng.random((n * n, n * n)) - 1)
+        b = AffineMap(SuperOperator(n, rep), random_hermitian(rng, n), "plain")
+    c = compose(a, b)
+    for _ in range(5):
+        q = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        want = apply(a, apply(b, q))
+        assert np.max(np.abs(apply(c, q) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))

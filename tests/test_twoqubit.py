@@ -180,3 +180,30 @@ def test_scenario_validation():
         TwoQubitScenario(gamma=1.0, xi3=1.5)
     with pytest.raises(ValueError):
         disconnection_demo(1.0, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("name", ["xi3", "corr13", "corr23", "mean_s2x3", "mean_s1x3"])
+def test_scenario_refuses_pauli_moments_above_one(name):
+    TwoQubitScenario(gamma=1.0, **{name: -1.0})
+    with pytest.raises(ValueError, match=name):
+        TwoQubitScenario(gamma=1.0, **{name: 1.001})
+    with pytest.raises(ValueError, match=name):
+        TwoQubitScenario(gamma=1.0, **{name: float("nan")})
+
+
+def test_disconnection_refuses_means_outside_bloch_ball():
+    disconnection_demo(1.0, [0.6, 0.8, 0.0], contrast_means=[0.0, 0.0, 1.0])
+    with pytest.raises(ValueError, match="Bloch ball"):
+        disconnection_demo(1.0, [0.6, 0.8, 0.1])
+    with pytest.raises(ValueError, match="Bloch ball"):
+        disconnection_demo(1.0, [1e300, 0.0, 0.0])
+    with pytest.raises(ValueError, match="Bloch ball"):
+        disconnection_demo(1.0, [1.0, 0.0, 0.0], contrast_means=[0.0, 2.0, 0.0])
+
+
+def test_pauli_constants_are_the_pauli_matrices():
+    from openmap.twoqubit import SIGMA_X, SIGMA_Y, SIGMA_Z
+
+    assert np.array_equal(SIGMA_X, SX)
+    assert np.array_equal(SIGMA_Y, SY)
+    assert np.array_equal(SIGMA_Z, SZ)
