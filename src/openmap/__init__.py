@@ -4,151 +4,24 @@ Construct fixed-mean-value and fixed-correlation maps from a joint
 unitary, examine their invertibility and complete positivity, invert them
 exactly, decide compatibility domains, and reproduce the closed-form
 two-qubit scenarios that anchor the numerics.
+
+Each public name is declared once, in its module's ``__all__``; the
+package exports the union of those lists.
 """
 
-from .analysis import (
-    CPReport,
-    InconsistentCriteriaError,
-    InvertibilityReport,
-    RealizabilityReport,
-    SingularMapError,
-    choi_analysis,
-    choi_matrix,
-    dynamics_realizability,
-    invert,
-    invertibility,
-    purity_inequality,
-)
-from .basis import HermitianBasis, JointBasis, build_basis, expand, joint_basis, reconstruct
-from .domain import (
-    CompatibilityResult,
-    DomainQuery,
-    ShrinkageReport,
-    compatible,
-    domain_shrinkage_demo,
-)
-from .mapgen import (
-    FixedCorrelationParameters,
-    FixedMeanParameters,
-    ParameterReport,
-    canonical_joint_basis,
-    detect_parameters,
-    fixed_correlation_map,
-    fixed_mean_value_map,
-    heisenberg_means,
-    unitalize,
-)
-from .states import (
-    CorrelationTable,
-    DensityMatrix,
-    JointState,
-    MeanValueVector,
-    correlations,
-    joint_from_means,
-    mean_vector,
-    means_from_matrix,
-    partial_trace_r,
-    reduce,
-)
-from .superop import (
-    AffineMap,
-    MeanAffineMap,
-    SuperOperator,
-    TransferMatrix,
-    apply,
-    compose,
-    conjugation_superoperator,
-    from_action,
-    identity_map,
-    identity_superoperator,
-    is_hermiticity_preserving,
-    is_trace_preserving,
-    is_unital,
-    mean_affine,
-    transfer_matrix,
-    unvec,
-    vec,
-)
-from .twoqubit import (
-    GAMMA_SWEEP,
-    XI3_SWEEP,
-    DisconnectionTranscript,
-    ScenarioReport,
-    TwoQubitScenario,
-    disconnection_demo,
-    reproduce_fixed_corr,
-    reproduce_fixed_mean,
-    two_qubit_unitary,
-)
+from . import analysis, basis, domain, mapgen, states, superop, twoqubit
+from .analysis import *  # noqa: F403
+from .basis import *  # noqa: F403
+from .domain import *  # noqa: F403
+from .mapgen import *  # noqa: F403
+from .states import *  # noqa: F403
+from .superop import *  # noqa: F403
+from .twoqubit import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
-    "CPReport",
-    "CompatibilityResult",
-    "CorrelationTable",
-    "DensityMatrix",
-    "DisconnectionTranscript",
-    "DomainQuery",
-    "FixedCorrelationParameters",
-    "FixedMeanParameters",
-    "GAMMA_SWEEP",
-    "HermitianBasis",
-    "InconsistentCriteriaError",
-    "InvertibilityReport",
-    "JointBasis",
-    "JointState",
-    "MeanAffineMap",
-    "MeanValueVector",
-    "ParameterReport",
-    "RealizabilityReport",
-    "ScenarioReport",
-    "ShrinkageReport",
-    "SingularMapError",
-    "SuperOperator",
-    "TransferMatrix",
-    "TwoQubitScenario",
-    "XI3_SWEEP",
-    "apply",
-    "build_basis",
-    "canonical_joint_basis",
-    "choi_analysis",
-    "choi_matrix",
-    "compatible",
-    "compose",
-    "conjugation_superoperator",
-    "from_action",
-    "correlations",
-    "detect_parameters",
-    "disconnection_demo",
-    "domain_shrinkage_demo",
-    "dynamics_realizability",
-    "expand",
-    "fixed_correlation_map",
-    "fixed_mean_value_map",
-    "heisenberg_means",
-    "identity_map",
-    "identity_superoperator",
-    "invert",
-    "invertibility",
-    "is_hermiticity_preserving",
-    "is_trace_preserving",
-    "is_unital",
-    "joint_basis",
-    "joint_from_means",
-    "mean_affine",
-    "mean_vector",
-    "means_from_matrix",
-    "partial_trace_r",
-    "purity_inequality",
-    "reconstruct",
-    "reduce",
-    "reproduce_fixed_corr",
-    "reproduce_fixed_mean",
-    "transfer_matrix",
-    "two_qubit_unitary",
-    "unitalize",
-    "unvec",
-    "vec",
+    name
+    for module in (analysis, basis, domain, mapgen, states, superop, twoqubit)
+    for name in module.__all__
 ]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import HermitianBasis, build_basis
+from .basis import build_basis
 from .superop import (
     AffineMap,
     SuperOperator,
@@ -132,16 +132,14 @@ def _relative_rank(values: np.ndarray) -> int:
     return int(np.count_nonzero(values > RANK_TOL * top))
 
 
-def invertibility(m: AffineMap, basis: HermitianBasis | None = None) -> InvertibilityReport:
+def invertibility(m: AffineMap) -> InvertibilityReport:
     """Evaluate all three invertibility criteria and insist they agree."""
     n = m.dim
-    if basis is None:
-        basis = build_basis(n)
+    basis = build_basis(n)
     rep = m.homogeneous.rep
     sv = np.linalg.svd(rep, compute_uv=False)
     kernel_dim = n**2 - _relative_rank(sv)
 
-    # mean_affine runs first: it rejects a basis of the wrong dimension
     mean_sv = np.linalg.svd(mean_affine(m, basis).matrix, compute_uv=False)
     mean_kernel = (n**2 - 1) - _relative_rank(mean_sv)
 

@@ -29,7 +29,6 @@ __all__ = [
     "HermitianBasis",
     "JointBasis",
     "build_basis",
-    "joint_basis",
     "expand",
     "reconstruct",
 ]
@@ -76,7 +75,7 @@ class JointBasis:
     F_mu = basis_s.elements[mu] acts on the N-dimensional system of interest,
     G_nu = basis_r.elements[nu] on the M-dimensional partner. Only these two
     families are stored; `matrix` and `traces` contract with them, and the
-    table of products is built only when `elements` or `flat_elements` is read.
+    table of products is built only when `flat_elements` is read.
     """
 
     basis_s: HermitianBasis
@@ -85,12 +84,6 @@ class JointBasis:
     @property
     def dims(self) -> tuple[int, int]:
         return (self.basis_s.dim, self.basis_r.dim)
-
-    @property
-    def elements(self) -> np.ndarray:
-        """The products F_mu (x) G_nu, shape (N^2, M^2, NM, NM), built on each access."""
-        n, m = self.dims
-        return self.flat_elements.reshape(n**2, m**2, n * m, n * m)
 
     @property
     def flat_elements(self) -> np.ndarray:
@@ -159,11 +152,6 @@ def build_basis(dim: int) -> HermitianBasis:
     ladder[rung - 1, rung] = -rung * scale
     table.real[1 + 2 * len(j) :, i, i] = ladder
     return HermitianBasis(dim=dim, elements=table)
-
-
-def joint_basis(basis_s: HermitianBasis, basis_r: HermitianBasis) -> JointBasis:
-    """Product family F_{mu nu} = F_mu (x) G_nu of two single-system families."""
-    return JointBasis(basis_s=basis_s, basis_r=basis_r)
 
 
 def expand(matrix: np.ndarray, basis: HermitianBasis) -> np.ndarray:

@@ -215,6 +215,13 @@ def _load_json(path: str):
         raise CliInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise CliInputError(f"cannot write {path}: {exc}") from exc
+
+
 def _triples(obj, what: str) -> list[tuple[int, int, float]]:
     if not isinstance(obj, list):
         raise CliInputError(f"{what} must be a list of [mu, nu, value] triples")
@@ -233,6 +240,8 @@ def _triples(obj, what: str) -> list[tuple[int, int, float]]:
 
 
 def _dims_from_json(obj) -> tuple[int, int]:
+    if not isinstance(obj, dict):
+        raise CliInputError("params JSON must be an object")
     dims = obj.get("dims")
     if not (
         isinstance(dims, list)
@@ -300,7 +309,7 @@ def _emit(doc: dict, out: Path | None) -> None:
     if out is None:
         print(text)
     else:
-        out.write_text(text + "\n")
+        _write_text(out, text + "\n")
 
 
 def cmd_build(args) -> int:
@@ -444,14 +453,14 @@ def _demo_domain(args) -> int:
         "corr_undecided_count": report.corr_undecided_count,
         "mean_only_examples": report.mean_only_examples(),
     }
-    _emit(doc, args.out)
     if args.csv:
         lines = ["v1,v2,v3,mean_kind,corr_kind"]
         for row, a, b in zip(report.samples, report.mean_kind_ok, report.corr_kind_ok):
             lines.append(
                 ",".join(repr(float(x)) for x in row) + f",{int(a)},{int(b)}"
             )
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        _write_text(args.csv, "\n".join(lines) + "\n")
+    _emit(doc, args.out)
     return EXIT_OK
 
 

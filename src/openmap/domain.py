@@ -51,7 +51,6 @@ __all__ = [
     "DomainQuery",
     "CompatibilityResult",
     "ShrinkageReport",
-    "MAX_ITERATIONS",
     "compatible",
     "domain_shrinkage_demo",
 ]

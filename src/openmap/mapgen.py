@@ -32,7 +32,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .basis import JointBasis, build_basis, joint_basis
+from .basis import JointBasis, build_basis
 from .states import CorrelationTable, DensityMatrix, JointState, MeanValueVector, partial_trace_r
 from .superop import (
     AffineMap,
@@ -125,7 +125,7 @@ class ParameterReport:
 
 
 def canonical_joint_basis(dims: tuple[int, int]) -> JointBasis:
-    return joint_basis(build_basis(dims[0]), build_basis(dims[1]))
+    return JointBasis(build_basis(dims[0]), build_basis(dims[1]))
 
 
 def _assignment_map(

@@ -26,7 +26,6 @@ __all__ = [
     "JointState",
     "MeanValueVector",
     "CorrelationTable",
-    "joint_from_means",
     "means_from_matrix",
     "partial_trace_r",
     "reduce",
@@ -147,11 +146,6 @@ class CorrelationTable:
                 f"specified mask shape {s.shape} does not match table shape {g.shape}"
             )
         object.__setattr__(self, "specified", _freeze(s))
-
-
-def joint_from_means(basis: JointBasis, means: np.ndarray) -> JointState:
-    """Wrap a mean-value table; use .to_matrix() for the matrix form."""
-    return JointState(basis=basis, means=means)
 
 
 def means_from_matrix(basis: JointBasis, matrix: np.ndarray) -> np.ndarray:

@@ -34,11 +34,8 @@ __all__ = [
     "AffineMap",
     "TransferMatrix",
     "MeanAffineMap",
-    "MAP_KINDS",
-    "check_unitary",
     "vec",
     "unvec",
-    "basis_columns",
     "from_action",
     "identity_superoperator",
     "conjugation_superoperator",

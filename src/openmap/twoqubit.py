@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import invertibility, invert
-from .basis import build_basis, joint_basis
+from .basis import JointBasis, build_basis
 from .mapgen import (
     FixedCorrelationParameters,
     FixedMeanParameters,
@@ -41,15 +41,10 @@ from .superop import AffineMap, SuperOperator, apply, mean_affine, transfer_matr
 from .tolerances import ORACLE_TOL, ROUNDING_TOL
 
 __all__ = [
-    "SIGMA_X",
-    "SIGMA_Y",
-    "SIGMA_Z",
     "GAMMA_SWEEP",
     "XI3_SWEEP",
     "TwoQubitScenario",
-    "CheckResult",
     "ScenarioReport",
-    "ContrastLeg",
     "DisconnectionTranscript",
     "two_qubit_unitary",
     "reproduce_fixed_mean",
@@ -295,7 +290,7 @@ def _backward_leg(
     """Forward means, evolved correlation parameters, backward offset,
     and returned means for one initial mean vector."""
     u = two_qubit_unitary(gamma)
-    jb = joint_basis(build_basis(2), build_basis(2))
+    jb = JointBasis(build_basis(2), build_basis(2))
     table = np.zeros((4, 4))
     table[0, 0] = 1.0
     table[1:, 0] = means

@@ -17,6 +17,7 @@ from openmap import (
     FixedCorrelationParameters,
     FixedMeanParameters,
     InconsistentCriteriaError,
+    JointBasis,
     TwoQubitScenario,
     apply,
     choi_analysis,
@@ -28,7 +29,6 @@ from openmap import (
     fixed_mean_value_map,
     invert,
     invertibility,
-    joint_basis,
     build_basis,
     mean_affine,
     purity_inequality,
@@ -264,7 +264,7 @@ def test_criterion_09_transfer_orthogonality():
     total = 0
     for i, dims in enumerate(DIMS):
         n, m = dims
-        jb = joint_basis(build_basis(n), build_basis(m))
+        jb = JointBasis(build_basis(n), build_basis(m))
         k = n * n * m * m
         for _ in range(17 if i < 2 else 16):
             tm = transfer_matrix(random_unitary(rng, n * m), jb)

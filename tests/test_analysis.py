@@ -11,7 +11,6 @@ from openmap import (
     InconsistentCriteriaError,
     SingularMapError,
     apply,
-    build_basis,
     choi_analysis,
     choi_matrix,
     compose,
@@ -173,11 +172,6 @@ def test_condition_number():
     assert invertibility(identity_map(3)).condition_number == 1.0
     dephase = AffineMap(from_action(2, lambda q: np.diag(np.diag(q))), np.zeros((2, 2)), "plain")
     assert invertibility(dephase).condition_number == np.inf
-
-
-def test_invertibility_rejects_basis_of_wrong_dimension():
-    with pytest.raises(ValueError, match="basis dim"):
-        invertibility(identity_map(2), build_basis(3))
 
 
 def test_inconsistent_criteria_raises():

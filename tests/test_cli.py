@@ -288,6 +288,40 @@ def test_bad_params_schema_exits_2(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("payload", [[1, 2], "x"], ids=["list", "string"])
+@pytest.mark.parametrize("kind", ["fixed-mean", "fixed-corr"])
+@pytest.mark.parametrize("command", ["build", "domain"])
+def test_params_not_an_object_exits_2_without_output(tmp_path, capsys, command, kind, payload):
+    p = tmp_path / "p.json"
+    p.write_text(json.dumps(payload))
+    if command == "build":
+        u = _write_matrix(tmp_path / "u.json", np.eye(4))
+        argv = ["build", "--kind", kind, "--unitary", u, "--params", str(p)]
+    else:
+        argv = ["domain", "--kind", kind, "--params", str(p), "--mean", "0,0,0"]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert "params JSON must be an object" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["demo", "fixed-mean", "--out", "{missing}/x.json"],
+        ["demo", "fixed-mean", "--out", "{dir}"],
+        ["demo", "domain", "--grid", "2", "--csv", "{missing}/x.csv"],
+    ],
+    ids=["out-missing-dir", "out-is-dir", "csv-missing-dir"],
+)
+def test_unwritable_output_path_exits_2_without_output(tmp_path, capsys, argv):
+    argv = [a.format(missing=tmp_path / "missing", dir=tmp_path) for a in argv]
+    rc, out, err = _run(capsys, argv)
+    assert rc == 2
+    assert "input error: cannot write" in err
+    assert out == ""
+
+
 def test_unknown_demo_name_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["demo", "bogus"])

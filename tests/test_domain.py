@@ -11,13 +11,13 @@ from openmap import (
     DomainQuery,
     FixedCorrelationParameters,
     FixedMeanParameters,
+    JointState,
     MeanValueVector,
     apply,
     canonical_joint_basis,
     compatible,
     domain_shrinkage_demo,
     fixed_mean_value_map,
-    joint_from_means,
     means_from_matrix,
     partial_trace_r,
 )
@@ -152,7 +152,7 @@ def test_corr_incompatible_frozen_spectrum():
     table[3, 0] = 1.0
     table[0, 3] = 1.0
     table[3, 3] = 2.0
-    pi = joint_from_means(basis, table).to_matrix()
+    pi = JointState(basis, table).to_matrix()
     eigs = np.sort(np.linalg.eigvalsh(pi))
     assert np.max(np.abs(eigs - np.array([-0.25, -0.25, 0.25, 1.25]))) < 1e-12
     # no completion can rescue it: |<S3 X3>| <= 1 for any state

@@ -19,7 +19,6 @@ from openmap import (
     is_hermiticity_preserving,
     is_trace_preserving,
     is_unital,
-    joint_from_means,
     mean_vector,
     partial_trace_r,
     transfer_matrix,
@@ -214,7 +213,7 @@ def test_heisenberg_means_identity():
     rng = np.random.default_rng(139)
     jb = canonical_joint_basis((2, 3))
     pi = random_density(rng, 6).matrix
-    state = joint_from_means(jb, __import__("openmap").means_from_matrix(jb, pi))
+    state = JointState(jb, __import__("openmap").means_from_matrix(jb, pi))
     before = state.means[1:, 0]
     after = heisenberg_means(np.eye(6, dtype=complex), state)
     assert np.max(np.abs(after.components - before)) < 1e-12
@@ -229,7 +228,7 @@ def test_heisenberg_means_matches_conjugation():
         pi = random_density(rng, n * m).matrix
         from openmap import means_from_matrix
 
-        state = joint_from_means(jb, means_from_matrix(jb, pi))
+        state = JointState(jb, means_from_matrix(jb, pi))
         got = heisenberg_means(u, state)
         rho = partial_trace_r(u @ pi @ u.conj().T, dims)
         want = mean_vector(build_basis(n), rho).components

@@ -8,14 +8,13 @@ from openmap import (
     CorrelationTable,
     DensityMatrix,
     FixedMeanParameters,
+    JointBasis,
     JointState,
     MeanValueVector,
     SuperOperator,
     build_basis,
     correlations,
     identity_superoperator,
-    joint_basis,
-    joint_from_means,
     mean_vector,
     means_from_matrix,
     partial_trace_r,
@@ -29,7 +28,7 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _jb(n, m):
-    return joint_basis(build_basis(n), build_basis(m))
+    return JointBasis(build_basis(n), build_basis(m))
 
 
 def _poke(a, where, bad):
@@ -79,7 +78,7 @@ def test_means_matrix_round_trip(dims):
         pi += (1.0 - np.trace(pi)) * np.eye(n * m) / (n * m)
         means = means_from_matrix(jb, pi)
         assert abs(means[0, 0] - 1.0) < 1e-12
-        back = joint_from_means(jb, means).to_matrix()
+        back = JointState(jb, means).to_matrix()
         assert np.max(np.abs(back - pi)) < 1e-12
 
 
@@ -103,7 +102,7 @@ def test_two_qubit_termwise_assembly():
     want = np.zeros((4, 4), dtype=complex)
     for mu in range(4):
         for nu in range(4):
-            want += means[mu, nu] * jb.elements[mu, nu]
+            want += means[mu, nu] * jb.flat_elements[jb.flat_index(mu, nu)]
     want /= 4.0
     assert np.max(np.abs(pi - want)) < 1e-13
 
@@ -147,7 +146,7 @@ def test_reduced_means_consistent_with_table():
 def test_correlations_bell_state():
     jb = _jb(2, 2)
     v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
-    state = joint_from_means(jb, means_from_matrix(jb, np.outer(v, v.conj())))
+    state = JointState(jb, means_from_matrix(jb, np.outer(v, v.conj())))
     g = correlations(state).gamma
     want = np.diag([1.0, -1.0, 1.0])
     assert np.max(np.abs(g - want)) < 1e-12
@@ -158,7 +157,7 @@ def test_correlations_product_state_vanish():
     jb = _jb(2, 3)
     rho_s = random_density(rng, 2).matrix
     rho_r = random_density(rng, 3).matrix
-    state = joint_from_means(jb, means_from_matrix(jb, np.kron(rho_s, rho_r)))
+    state = JointState(jb, means_from_matrix(jb, np.kron(rho_s, rho_r)))
     assert np.max(np.abs(correlations(state).gamma)) < 1e-12
 
 

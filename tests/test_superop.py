@@ -9,6 +9,7 @@ from openmap import (
     AffineMap,
     FixedCorrelationParameters,
     FixedMeanParameters,
+    JointBasis,
     MeanAffineMap,
     SuperOperator,
     apply,
@@ -23,8 +24,6 @@ from openmap import (
     is_hermiticity_preserving,
     is_trace_preserving,
     is_unital,
-    joint_basis,
-    joint_from_means,
     mean_affine,
     mean_vector,
     means_from_matrix,
@@ -43,7 +42,7 @@ SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def _jb(n, m):
-    return joint_basis(build_basis(n), build_basis(m))
+    return JointBasis(build_basis(n), build_basis(m))
 
 
 def _random_affine(rng, n, kind="plain", traceless_offset=False):
