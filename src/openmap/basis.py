@@ -74,8 +74,9 @@ class JointBasis:
 
     F_mu = basis_s.elements[mu] acts on the N-dimensional system of interest,
     G_nu = basis_r.elements[nu] on the M-dimensional partner. Only these two
-    families are stored; `matrix` and `traces` contract with them, and the
-    table of products is built only when `flat_elements` is read.
+    families are stored, and no table of products is ever built: `matrix` and
+    `traces` contract with the two families, and `transfer_matrix` applies
+    them to the unitary's two indices.
     """
 
     basis_s: HermitianBasis
@@ -84,15 +85,6 @@ class JointBasis:
     @property
     def dims(self) -> tuple[int, int]:
         return (self.basis_s.dim, self.basis_r.dim)
-
-    @property
-    def flat_elements(self) -> np.ndarray:
-        """The products in flat pair order, shape (N^2 M^2, NM, NM), built on each access."""
-        n, m = self.dims
-        # (f * g)[mu, nu, j, s, l, t] = F_mu[j, l] G_nu[s, t], the entries of kron
-        f = self.basis_s.elements[:, None, :, None, :, None]
-        g = self.basis_r.elements[None, :, None, :, None, :]
-        return (f * g).reshape(n**2 * m**2, n * m, n * m)
 
     def matrix(self, coeffs: np.ndarray) -> np.ndarray:
         """sum_{mu nu} c[..., mu, nu] F_mu (x) G_nu for a (..., N^2, M^2) table."""

@@ -222,10 +222,10 @@ def detect_parameters(tm: TransferMatrix) -> ParameterReport:
 
     (mu, nu) with nu >= 1 is a parameter when any row (alpha 0), alpha >= 1,
     has |t[(alpha 0), (mu nu)]| > ROUNDING_TOL. The (0 0) row is a delta row and
-    never contributes.
+    never contributes, so at N = 1, with no such row, the report is empty.
     """
     n, m = tm.dims
-    influence = np.abs(_system_rows(tm)).max(axis=0).reshape(n**2, m**2)
+    influence = np.abs(_system_rows(tm)).max(axis=0, initial=0.0).reshape(n**2, m**2)
     mu, nu = np.nonzero(influence[:, 1:] > ROUNDING_TOL)
     mean_idx = set(zip(mu.tolist(), (nu + 1).tolist()))
     return ParameterReport(

@@ -15,9 +15,9 @@ The transfer matrix of a joint unitary U is the real table
     t[(alpha beta), (mu nu)] = Tr[F_{mu nu} U^dag F_{alpha beta} U] / (N*M),
 
 a real orthogonal matrix that propagates joint mean tables forward. Its
-rows are the traces of the conjugated elements U^dag F_{alpha beta} U
-against the joint family, contracted with the two single-system families
-by `JointBasis.traces`.
+rows are the traces of the conjugated elements U^dag F_{alpha beta} U, made
+from the two single-system families a block of rows at a time (the joint
+family is never tabulated) and contracted with them by `JointBasis.traces`.
 """
 
 from __future__ import annotations
@@ -227,8 +227,18 @@ class TransferMatrix:
         return self.t[self.basis.flat_index(alpha, beta)]
 
 
+# Complex entries in one block's stack of conjugated products: (2,2), (2,4) and
+# (3,3) are one block; at (2,8), (3,8) and (2,16) a block is one alpha's M^2 rows.
+_BLOCK_ENTRIES = 2**14
+
+
 def transfer_matrix(u: np.ndarray, basis: JointBasis) -> TransferMatrix:
     """t[(a b), (m n)] = Tr[F_{m n} U^dag F_{a b} U] / (N*M).
+
+    Built a block of rows (a, .) at a time from the two factor families, never
+    from the table of products: U^dag (F_a (x) G_b) U is [(F_a (x) 1) U]^dag
+    times (1 (x) G_b) U, the second factor made once for every b, and each
+    block's stack is contracted by `JointBasis.traces`.
 
     Rejects non-unitary input; the result satisfies t^T t = 1 to ROUNDING_TOL and
     its (0 0) row and column are delta rows, both consequences of the
@@ -237,13 +247,25 @@ def transfer_matrix(u: np.ndarray, basis: JointBasis) -> TransferMatrix:
     n, m = basis.dims
     d = n * m
     check_unitary(u, d)
-    conjugated = np.matmul(np.matmul(u.conj().T, basis.flat_elements), u)
-    k = conjugated.shape[0]
-    t = basis.traces(conjugated).reshape(k, k) / d
-    if not (np.abs(t.imag).max() <= ROUNDING_TOL):
+    k = n * n * m * m
+    # F_a on U's system index, then the dagger; G_b on U's partner index
+    left = basis.basis_s.elements.reshape(n**3, n) @ u.reshape(n, m * d)
+    left = left.reshape(n * n, d, d).conj().swapaxes(1, 2)
+    right = np.matmul(basis.basis_r.elements[:, None], u.reshape(n, m, d)).reshape(m * m, d, d)
+    rows = max(1, _BLOCK_ENTRIES // (m * m * d * d))
+    t = np.empty((k, k))
+    imag = 0.0
+    for a in range(0, n * n, rows):
+        conjugated = np.matmul(left[a : a + rows, None], right).reshape(-1, d, d)
+        block = basis.traces(conjugated).reshape(-1, k)
+        imag = np.maximum(imag, np.abs(block.imag).max())  # NaN-safe, unlike max()
+        t[a * m * m : a * m * m + len(block)] = block.real
+    t /= d
+    if not (imag / d <= ROUNDING_TOL):
         raise ValueError("transfer matrix should be real for a unitary input")
-    t = np.ascontiguousarray(t.real)  # t.T @ t is slower on the strided .real view
-    if not (np.abs(t.T @ t - np.eye(k)).max() <= ROUNDING_TOL):
+    gram = t.T @ t
+    gram.flat[:: k + 1] -= 1.0
+    if not (np.abs(gram, out=gram).max() <= ROUNDING_TOL):
         raise ValueError("transfer matrix failed the orthogonality check")
     return TransferMatrix(basis=basis, t=t)
 

@@ -5,6 +5,8 @@ N != M against references built straight from the definitions: np.kron for
 the product basis and an explicit sum for the partial trace.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,25 +77,27 @@ def test_maps_match_definitional_reference(dims, seed):
         assert np.max(np.abs(built.offset - offset)) < 1e-12
 
 
-@pytest.mark.parametrize("dims", ASYMMETRIC)
+# (2, 8) and (3, 8) take one alpha per block of rows; (3, 4) and (4, 3) end on
+# a partial block
+@pytest.mark.parametrize("dims", ASYMMETRIC + [(2, 8), (3, 8)])
 @settings(max_examples=10, deadline=None)
 @given(seed=SEEDS)
 def test_transfer_entries_match_definition(dims, seed):
-    # t[(a b), (m n)] = Tr[F_{m n} U^dag F_{a b} U] / (N M) on sampled entries
+    # t[(a b), (m n)] = Tr[F_{m n} U^dag F_{a b} U] / (N M), every entry
     n, m = dims
+    k, d = n * n * m * m, n * m
     rng = np.random.default_rng(seed)
-    u = random_unitary(rng, n * m)
+    u = random_unitary(rng, d)
     jb = canonical_joint_basis(dims)
     tm = transfer_matrix(u, jb)
     bs, br = build_basis(n), build_basis(m)
-    for _ in range(20):
-        a, b = rng.integers(n * n), rng.integers(m * m)
-        mu, nu = rng.integers(n * n), rng.integers(m * m)
-        f_ab = np.kron(bs.elements[a], br.elements[b])
-        f_mn = np.kron(bs.elements[mu], br.elements[nu])
-        want = np.trace(f_mn @ u.conj().T @ f_ab @ u) / (n * m)
-        got = tm.t[jb.flat_index(a, b), jb.flat_index(mu, nu)]
-        assert abs(got - want) < 1e-12
+    flat = np.array([np.kron(f, g) for f in bs.elements for g in br.elements])
+    # flat's order is the one jb.flat_index gives, which t's rows and columns follow
+    assert [jb.flat_index(mu, nu) for mu in range(n * n) for nu in range(m * m)] == list(range(k))
+    conj = u.conj().T @ flat @ u
+    # sum_ij (U^dag F_{a b} U)[j, i] F_{m n}[i, j]
+    want = conj.reshape(k, d * d) @ flat.transpose(0, 2, 1).reshape(k, d * d).T / d
+    assert np.max(np.abs(tm.t - want)) < 1e-12
 
 
 def test_large_partner_transfer_is_orthogonal():
@@ -101,3 +105,18 @@ def test_large_partner_transfer_is_orthogonal():
     rng = np.random.default_rng(216)
     tm = transfer_matrix(random_unitary(rng, 32), canonical_joint_basis((2, 16)))
     assert tm.t.shape == (1024, 1024)
+
+
+def test_large_partner_transfer_peak_memory():
+    # rows are built a block at a time: the (1024, 32, 32) table of products
+    # (16 MB) and a full stack of conjugated products are never formed
+    rng = np.random.default_rng(217)
+    u, jb = random_unitary(rng, 32), canonical_joint_basis((2, 16))
+    tracemalloc.start()
+    try:
+        tm = transfer_matrix(u, jb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert tm.t.shape == (1024, 1024)
+    assert peak <= 32 * 2**20

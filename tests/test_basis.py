@@ -54,7 +54,7 @@ def test_identity_first_traceless_hermitian(dim):
 
 def test_joint_gram_2x3():
     jb = JointBasis(build_basis(2), build_basis(3))
-    flat = jb.flat_elements
+    flat = np.array([np.kron(f, g) for f in jb.basis_s for g in jb.basis_r])
     assert flat.shape == (36, 6, 6)
     gram = np.einsum("aij,bji->ab", flat, flat)
     assert np.max(np.abs(gram - 6.0 * np.eye(36))) < 1e-12
@@ -67,7 +67,10 @@ def test_joint_flat_index():
         for nu in range(4):
             k = jb.flat_index(mu, nu)
             assert k == mu * 4 + nu
-            assert np.array_equal(jb.flat_elements[k], np.kron(b.elements[mu], b.elements[nu]))
+            unit = np.zeros(16)
+            unit[k] = 1.0
+            want = np.kron(b.elements[mu], b.elements[nu])
+            assert np.array_equal(jb.matrix(unit.reshape(4, 4)), want)
     with pytest.raises(ValueError):
         jb.flat_index(4, 0)
     with pytest.raises(ValueError):
@@ -81,10 +84,14 @@ def test_joint_elements_are_kron_pairs():
     for mu in range(4):
         for nu in range(9):
             want = np.kron(bs.elements[mu], br.elements[nu])
-            assert np.max(np.abs(jb.flat_elements[jb.flat_index(mu, nu)] - want)) < 1e-15
+            unit = np.zeros((4, 9))
+            unit[mu, nu] = 1.0
+            assert np.max(np.abs(jb.matrix(unit) - want)) < 1e-15
     # spot check: the (z, z) pair in the qubit-qubit case
     jb22 = JointBasis(bs, build_basis(2))
-    assert np.max(np.abs(jb22.flat_elements[jb22.flat_index(3, 3)] - np.kron(SZ, SZ))) < 1e-15
+    unit = np.zeros((4, 4))
+    unit[3, 3] = 1.0
+    assert np.max(np.abs(jb22.matrix(unit) - np.kron(SZ, SZ))) < 1e-15
 
 
 @settings(max_examples=60, deadline=None)

@@ -141,6 +141,23 @@ def test_build_fixed_corr(tmp_path, capsys):
     assert np.max(np.abs(offset - want)) < 1e-12
 
 
+@pytest.mark.parametrize("kind", ["fixed-mean", "fixed-corr"])
+def test_build_single_level_system(tmp_path, capsys, kind):
+    # dims [1, 2]: a one-level system has no parameters to detect
+    u = _write_matrix(tmp_path / "u.json", random_unitary(np.random.default_rng(167), 2))
+    p = tmp_path / "p.json"
+    if kind == "fixed-mean":
+        doc = {"dims": [1, 2], "means": [[0, 1, 0.3]]}
+    else:
+        doc = {"dims": [1, 2], "rho_r": matrix_to_json(np.diag([0.7, 0.3]).astype(complex)), "gamma": []}
+    p.write_text(json.dumps(doc))
+    rc, out, err = _run(capsys, ["build", "--kind", kind, "--unitary", u, "--params", str(p)])
+    assert rc == 0, err
+    doc = json.loads(out)
+    assert doc["dim"] == 1
+    assert doc["detected_parameters"] == {"fixed_mean": [], "environment": [], "correlation": []}
+
+
 def test_analyze_regular_map(tmp_path, capsys):
     f = _write_map(tmp_path / "m.json", _l_map(np.pi / 3))
     rc, out, _ = _run(capsys, ["analyze", f])

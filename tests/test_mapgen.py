@@ -385,3 +385,13 @@ def test_detect_parameters_matches_row_by_row_reading():
         assert all(type(i) is int for pair in report.fixed_mean_indices for i in pair)
         if k % 2:
             assert 0 < len(want) < 4 * 63
+
+
+def test_detect_parameters_single_level_system():
+    # N = 1 has no rows (alpha 0) with alpha >= 1, so nothing is a parameter
+    rng = np.random.default_rng(163)
+    report = detect_parameters(transfer_matrix(random_unitary(rng, 3), canonical_joint_basis((1, 3))))
+    assert report.dims == (1, 3)
+    assert report.fixed_mean_indices == frozenset()
+    assert report.environment_mean_indices == frozenset()
+    assert report.correlation_indices == frozenset()

@@ -102,7 +102,7 @@ def test_two_qubit_termwise_assembly():
     want = np.zeros((4, 4), dtype=complex)
     for mu in range(4):
         for nu in range(4):
-            want += means[mu, nu] * jb.flat_elements[jb.flat_index(mu, nu)]
+            want += means[mu, nu] * np.kron(jb.basis_s.elements[mu], jb.basis_r.elements[nu])
     want /= 4.0
     assert np.max(np.abs(pi - want)) < 1e-13
 

@@ -9,6 +9,7 @@ from openmap import (
     AffineMap,
     FixedCorrelationParameters,
     FixedMeanParameters,
+    HermitianBasis,
     JointBasis,
     MeanAffineMap,
     SuperOperator,
@@ -369,3 +370,15 @@ def test_compose_property_matches_pointwise_application(n, seed, b_kind, wobble)
         q = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         want = apply(a, apply(b, q))
         assert np.max(np.abs(apply(c, q) - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("dims, alpha", [((2, 2), 1), ((3, 4), 8)])
+def test_transfer_rejects_non_finite_basis(dims, alpha):
+    # a NaN in the system family's element alpha reaches t; at (3, 4) it sits in
+    # the last, partial block of rows, and no check may pass it as small
+    n, m = dims
+    bad = build_basis(n).elements.copy()
+    bad[alpha, 0, 0] = np.nan
+    jb = JointBasis(HermitianBasis(dim=n, elements=bad), build_basis(m))
+    with pytest.raises(ValueError):
+        transfer_matrix(np.eye(n * m, dtype=complex), jb)
